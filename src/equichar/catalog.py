@@ -1,13 +1,6 @@
-"""Ready-made generator sets: symmetric/cyclic actions, matrix groups, rotations."""
+"""Standard generators of the symmetric and cyclic permutation actions."""
 
 from __future__ import annotations
-
-import math
-
-import numpy as np
-
-from .core import GroupSpec
-from .repspaces import PermAction, perm_matrix
 
 
 def cycle_perm(n: int) -> tuple[int, ...]:
@@ -34,45 +27,3 @@ def cyclic_action_generators(n: int) -> tuple[tuple[int, ...], ...]:
     if n < 2:
         return ()
     return (cycle_perm(n),)
-
-
-def symmetric_action(n: int) -> PermAction:
-    return PermAction(n, symmetric_action_generators(n), label=f"sym{n}")
-
-
-def cyclic_action(n: int) -> PermAction:
-    return PermAction(n, cyclic_action_generators(n), label=f"cyclic{n}")
-
-
-def trivial_action(n: int) -> PermAction:
-    return PermAction(n, (), label=f"trivial{n}")
-
-
-def symmetric_group_spec(n: int) -> GroupSpec:
-    mats = tuple(perm_matrix(g) for g in symmetric_action_generators(n))
-    return GroupSpec(f"sym{n}", n, mats)
-
-
-def cyclic_group_spec(n: int) -> GroupSpec:
-    mats = tuple(perm_matrix(g) for g in cyclic_action_generators(n))
-    return GroupSpec(f"cyclic{n}", n, mats)
-
-
-def signed_symmetric_group_spec(n: int) -> GroupSpec:
-    """Symmetric generators plus one sign flip: generates all signed permutations."""
-    flip = np.eye(n)
-    flip[0, 0] = -1.0
-    mats = tuple(perm_matrix(g) for g in symmetric_action_generators(n)) + (flip,)
-    return GroupSpec(f"signed-sym{n}", n, mats)
-
-
-def signed_cyclic_group_spec(n: int) -> GroupSpec:
-    flip = np.eye(n)
-    flip[0, 0] = -1.0
-    mats = tuple(perm_matrix(g) for g in cyclic_action_generators(n)) + (flip,)
-    return GroupSpec(f"signed-cyclic{n}", n, mats)
-
-
-def rotation_2d(angle_radians: float) -> np.ndarray:
-    c, s = math.cos(angle_radians), math.sin(angle_radians)
-    return np.array([[c, -s], [s, c]])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from .activations import (
     EtaProfile,
     build_eta_activation,
     export_activation_csv,
+    format_float,
     identity,
     relu,
     sample_grid,
@@ -68,10 +70,6 @@ class ParseError(Exception):
 # deterministic JSON rendering
 
 
-def _format_float(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _render(obj, indent: int) -> str:
     pad = " " * indent
     child = " " * (indent + 2)
@@ -94,7 +92,7 @@ def _render(obj, indent: int) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
+        return format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot render {type(obj)!r} in a report")
@@ -129,6 +127,17 @@ def _load_json(path: str):
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    """True for JSON integers; bool is an int subclass but not one of them."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_tol(tol: float, source: str) -> float:
+    if not math.isfinite(tol) or tol <= 0:
+        raise ParseError(f"{source} must be a finite positive number, got {tol!r}")
+    return tol
+
+
 def _load_group_spec(path: str) -> tuple[GroupSpec, float | None]:
     data = _load_json(path)
     if not isinstance(data, dict):
@@ -138,31 +147,34 @@ def _load_group_spec(path: str) -> tuple[GroupSpec, float | None]:
     generators = data.get("generators")
     if not isinstance(name, str):
         raise ParseError(f"{path}: 'name' must be a string")
-    if not isinstance(dimension, int) or dimension < 1:
+    if not _is_int(dimension) or dimension < 1:
         raise ParseError(f"{path}: 'dimension' must be a positive integer")
     if not isinstance(generators, list):
         raise ParseError(f"{path}: 'generators' must be a list of matrices")
     file_tol = data.get("tolerance")
-    if file_tol is not None and not isinstance(file_tol, (int, float)):
-        raise ParseError(f"{path}: 'tolerance' must be a number")
+    if file_tol is not None:
+        if isinstance(file_tol, bool) or not isinstance(file_tol, (int, float)):
+            raise ParseError(f"{path}: 'tolerance' must be a number")
+        file_tol = _check_tol(float(file_tol), f"{path}: 'tolerance'")
     try:
         spec = GroupSpec(name, dimension, tuple(np.asarray(g, dtype=float) for g in generators))
     except (ValueError, ShapeMismatchError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return spec, None if file_tol is None else float(file_tol)
+    return spec, file_tol
 
 
 def _resolve_tol(flag_tol: float | None, file_tol: float | None) -> float:
     if flag_tol is not None:
-        return flag_tol
+        return _check_tol(flag_tol, "--tol")
     if file_tol is not None:
         return file_tol
     env = os.environ.get("EQUICHAR_TOL")
     if env:
         try:
-            return float(env)
+            tol = float(env)
         except ValueError as exc:
             raise ParseError(f"EQUICHAR_TOL is not a number: {env!r}") from exc
+        return _check_tol(tol, "EQUICHAR_TOL")
     return DEFAULT_TOL
 
 
@@ -308,7 +320,7 @@ def _load_action_generators(path: str, n: int) -> tuple[tuple[int, ...], ...]:
         raise ParseError(f"{path}: expected a JSON object")
     points = data.get("points")
     generators = data.get("generators")
-    if not isinstance(points, int) or points != n:
+    if not _is_int(points) or points != n:
         raise ParseError(f"{path}: 'points' must equal --n ({n})")
     if not isinstance(generators, list):
         raise ParseError(f"{path}: 'generators' must be a list of 0-based image lists")
@@ -321,6 +333,8 @@ def _load_action_generators(path: str, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _cmd_basis(args) -> int:
+    if min(args.n, args.k_in, args.k_out) < 1:
+        raise ParseError("--n, --k-in and --k-out must be at least 1")
     if args.group == "sym":
         gens = symmetric_action_generators(args.n)
     elif args.group == "cyclic":
@@ -349,6 +363,8 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ParseError("--trials must be at least 1")
     spec, file_tol = _load_group_spec(args.spec)
     tol = _resolve_tol(args.tol, file_tol)
     activation = _builtin_activation(args.activation, tol)

@@ -5,7 +5,9 @@ standard basis.  Orbits of the action partition the set; orbits of the
 simultaneous action on (output, input) pairs yield the 0/1 indicator matrices
 spanning the equivariant linear maps between two such representations, and
 orbits of a single action yield the indicator vectors spanning the invariant
-(bias) subspace.  Tensor-power actions act coordinatewise on index tuples.
+(bias) subspace.  Both kinds of orbit come from one labelling routine, and a
+layer basis is stored as its array of pair labels.  Tensor-power actions act
+coordinatewise on index tuples.
 
 Generators of two actions are matched positionally: the i-th generator of
 each action must represent the same abstract group element.
@@ -64,41 +66,52 @@ class OrbitDecomposition:
         return len(self.blocks)
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
+def _images(action: PermAction) -> np.ndarray:
+    """Generator images as one (generators, size) index array."""
+    return np.asarray(action.generators, dtype=np.intp).reshape(-1, action.size)
 
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
 
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            # Attach the larger root under the smaller so roots stay minimal.
-            if ri < rj:
-                self.parent[rj] = ri
-            else:
-                self.parent[ri] = rj
+def _orbit_labels(images: np.ndarray) -> np.ndarray:
+    """Label each point by the rank of its orbit's least point.
 
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        by_root: dict[int, list[int]] = {}
-        for i in range(len(self.parent)):
-            by_root.setdefault(self.find(i), []).append(i)
-        return tuple(tuple(sorted(members)) for _, members in sorted(by_root.items()))
+    ``images`` holds one row of point images per generator.  Hook and
+    compress: each round hangs the larger root of every edge p -- g[p] under
+    the smaller one, then flattens the forest by pointer jumping.  Pointers
+    only go to smaller points, so each root is the least point of its tree,
+    and the rounds grow with log(size) rather than with orbit diameter.
+    """
+    count, size = images.shape
+    points = np.arange(size)
+    src, dst = np.tile(points, count), images.ravel()
+    root = points.copy()
+    while True:
+        a, b = root[src], root[dst]
+        split = a != b
+        if not split.any():
+            break
+        np.minimum.at(root, np.maximum(a, b)[split], np.minimum(a, b)[split])
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+    return (np.cumsum(root == points) - 1)[root]
+
+
+def _blocks(labels: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Flat indices sorted by label (ascending within a label) and each label's slice."""
+    members = np.argsort(labels, axis=None, kind="stable")
+    ends = np.cumsum(np.bincount(labels.ravel())).tolist()
+    return members, list(zip([0, *ends], ends))
+
+
+def _indicators(labels: np.ndarray) -> list[np.ndarray]:
+    """One dense 0/1 integer array per label."""
+    return [(labels == j).astype(np.int64) for j in range(int(labels.max()) + 1)]
 
 
 def orbits(action: PermAction) -> OrbitDecomposition:
     """Orbit partition of the index set under all generators."""
-    uf = _UnionFind(action.size)
-    for g in action.generators:
-        for i, image in enumerate(g):
-            uf.union(i, image)
-    return OrbitDecomposition(uf.blocks())
+    members, bounds = _blocks(_orbit_labels(_images(action)))
+    points = members.tolist()
+    return OrbitDecomposition(tuple(tuple(points[a:b]) for a, b in bounds))
 
 
 def tensor_action(
@@ -136,23 +149,35 @@ def tensor_action(
 class LayerBasis:
     """Orbit-indicator basis of the equivariant linear maps between two actions.
 
-    Elements are 0/1 integer matrices with disjoint supports covering all of
-    dim_out x dim_in, ordered by each orbit's least (row-major) pair index.
+    ``labels[o, i]`` is the index of the basis element whose support holds
+    the pair (o, i).  Elements are numbered by each orbit's least (row-major)
+    pair, so their supports are disjoint and cover all of dim_out x dim_in.
     """
 
-    dim_in: int
-    dim_out: int
-    elements: list[np.ndarray]
+    labels: np.ndarray
+
+    @property
+    def dim_out(self) -> int:
+        return self.labels.shape[0]
+
+    @property
+    def dim_in(self) -> int:
+        return self.labels.shape[1]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return int(self.labels.max()) + 1
+
+    @property
+    def elements(self) -> list[np.ndarray]:
+        """Each element as a dense 0/1 integer matrix."""
+        return _indicators(self.labels)
 
     def sparse_coordinates(self) -> list[list[tuple[int, int]]]:
         """Each element as its sorted list of (row, col) support coordinates."""
-        return [
-            [(int(r), int(c)) for r, c in np.argwhere(el)]
-            for el in self.elements
-        ]
+        members, bounds = _blocks(self.labels)
+        rows, cols = np.divmod(members, self.dim_in)
+        pairs = list(zip(rows.tolist(), cols.tolist()))
+        return [pairs[a:b] for a, b in bounds]
 
 
 def equivariant_basis(a_in: PermAction, a_out: PermAction) -> LayerBasis:
@@ -167,31 +192,15 @@ def equivariant_basis(a_in: PermAction, a_out: PermAction) -> LayerBasis:
             f"parallel actions need equal generator counts "
             f"({len(a_out.generators)} != {len(a_in.generators)})"
         )
-    pairs = a_out.size * a_in.size
-    uf = _UnionFind(pairs)
-    for g_out, g_in in zip(a_out.generators, a_in.generators):
-        for o in range(a_out.size):
-            row = o * a_in.size
-            image_row = g_out[o] * a_in.size
-            for i in range(a_in.size):
-                uf.union(row + i, image_row + g_in[i])
-    elements = []
-    for block in uf.blocks():
-        mat = np.zeros((a_out.size, a_in.size), dtype=np.int64)
-        for p in block:
-            mat[p // a_in.size, p % a_in.size] = 1
-        elements.append(mat)
-    return LayerBasis(a_in.size, a_out.size, elements)
+    g_out, g_in = _images(a_out), _images(a_in)
+    pair_images = g_out[:, :, None] * a_in.size + g_in[:, None, :]
+    labels = _orbit_labels(pair_images.reshape(len(g_out), a_out.size * a_in.size))
+    return LayerBasis(labels.reshape(a_out.size, a_in.size))
 
 
 def invariant_basis(action: PermAction) -> list[np.ndarray]:
     """Orbit-indicator vectors spanning the subspace fixed by the action."""
-    out = []
-    for block in orbits(action).blocks:
-        v = np.zeros(action.size, dtype=np.int64)
-        v[list(block)] = 1
-        out.append(v)
-    return out
+    return _indicators(_orbit_labels(_images(action)))
 
 
 def is_trivial_rep(action: PermAction) -> bool:
@@ -237,17 +246,13 @@ def build_affine_layer(
     bias_weights: Sequence[float] = (),
 ) -> AffineEquivariantLayer:
     """Materialize W = sum w_i B_i and v = sum c_j u_j from basis coefficients."""
-    if len(weights) != len(basis.elements):
-        raise CountMismatchError(
-            f"{len(weights)} weights for {len(basis.elements)} basis elements"
-        )
+    if len(weights) != len(basis):
+        raise CountMismatchError(f"{len(weights)} weights for {len(basis)} basis elements")
     if len(bias_weights) != len(bias_basis):
         raise CountMismatchError(
             f"{len(bias_weights)} bias weights for {len(bias_basis)} bias vectors"
         )
-    matrix = np.zeros((basis.dim_out, basis.dim_in))
-    for w, el in zip(weights, basis.elements):
-        matrix += float(w) * el
+    matrix = np.asarray(weights, dtype=float)[basis.labels]
     bias = np.zeros(basis.dim_out)
     for c, u in zip(bias_weights, bias_basis):
         u = np.asarray(u, dtype=float)
@@ -310,20 +315,21 @@ def validate_network(
     if any(len(a.generators) != gen_count for a in actions):
         raise GeneratorCountMismatchError("all actions must list the same abstract generators")
 
-    perms = [[perm_matrix(g) for g in a.generators] for a in actions]
+    # (P_g v)[g[i]] = v[i], so P_g v is v gathered through the inverse of g.
+    inverses = [np.argsort(_images(a), axis=1) for a in actions]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for t in range(trials):
         x = _nonzero_uniform(rng, actions[0].size)
         for gi in range(gen_count):
-            transformed = perms[0][gi] @ x
+            transformed = x[inverses[0][gi]]
             plain = x.copy()
             stage = 0
             for k, layer in enumerate(layers):
                 stage += 1
                 transformed = layer.apply(transformed)
                 plain = layer.apply(plain)
-                residual = float(np.abs(transformed - perms[k + 1][gi] @ plain).max())
+                residual = float(np.abs(transformed - plain[inverses[k + 1][gi]]).max())
                 worst = max(worst, residual)
                 if residual > tol:
                     return NetworkReport(
@@ -333,7 +339,7 @@ def validate_network(
                     stage += 1
                     transformed = activations[k](transformed)
                     plain = activations[k](plain)
-                    residual = float(np.abs(transformed - perms[k + 1][gi] @ plain).max())
+                    residual = float(np.abs(transformed - plain[inverses[k + 1][gi]]).max())
                     worst = max(worst, residual)
                     if residual > tol:
                         return NetworkReport(

@@ -1,9 +1,9 @@
 """Independent brute-force oracles used by the tests.
 
-These deliberately avoid the library's union-find/BFS code paths: permutation
-groups are enumerated as tuples under composition, orbit and fixed-space
-counts come from explicit averaging over the enumerated group, and matrix
-products are walked directly when probing boundedness.
+These deliberately avoid the library's orbit-labelling and BFS code paths:
+permutation groups are enumerated as tuples under composition, orbit and
+fixed-space counts come from explicit averaging over the enumerated group,
+and matrix products are walked directly when probing boundedness.
 """
 
 from __future__ import annotations

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from equichar import cli
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -301,6 +303,59 @@ class TestParseErrors:
             "basis", "--n", "2", "--k-in", "1", "--k-out", "1", "--group", str(action)
         )
         assert result.returncode == 2
+
+
+P3 = "[[[0, 0, 1], [1, 0, 0], [0, 1, 0]]]"
+BAD_INPUT_FILES = {
+    "spec": '{"name": "p", "dimension": 3, "generators": %s}' % P3,
+    "tol_zero": '{"name": "p", "dimension": 3, "generators": %s, "tolerance": 0}' % P3,
+    "tol_negative": '{"name": "p", "dimension": 3, "generators": %s, "tolerance": -1e-9}' % P3,
+    "tol_overflow": '{"name": "p", "dimension": 3, "generators": %s, "tolerance": 1e999}' % P3,
+    "tol_bool": '{"name": "p", "dimension": 3, "generators": %s, "tolerance": true}' % P3,
+    "dim_bool": '{"name": "x", "dimension": true, "generators": [[[1.0]]]}',
+    "points_bool": '{"name": "t", "points": true, "generators": [[0]]}',
+}
+BASIS = ["basis", "--group", "sym"]
+BAD_INPUTS = {
+    "basis-n-0": (BASIS + ["--n", "0", "--k-in", "1", "--k-out", "1"], None),
+    "basis-k-in-0": (BASIS + ["--n", "3", "--k-in", "0", "--k-out", "1"], None),
+    "basis-k-out-negative": (BASIS + ["--n", "3", "--k-in", "1", "--k-out", "-2"], None),
+    "verify-trials-0": (["verify", "{spec}", "--activation", "relu", "--trials", "0"], None),
+    "flag-tol-nan": (["classify", "{spec}", "--tol", "nan"], None),
+    "flag-tol-inf": (["normalize", "{spec}", "--tol", "inf"], None),
+    "flag-tol-zero": (["verify", "{spec}", "--activation", "relu", "--tol", "0"], None),
+    "flag-tol-negative": (["classify", "{spec}", "--tol", "-1"], None),
+    "file-tol-zero": (["classify", "{tol_zero}"], None),
+    "file-tol-negative": (["normalize", "{tol_negative}"], None),
+    "file-tol-overflow": (["classify", "{tol_overflow}"], None),
+    "file-tol-bool": (["classify", "{tol_bool}"], None),
+    "env-tol-nan": (["classify", "{spec}"], "nan"),
+    "env-tol-inf": (["classify", "{spec}"], "inf"),
+    "env-tol-zero": (["verify", "{spec}", "--activation", "relu"], "0"),
+    "env-tol-negative": (["normalize", "{spec}"], "-1e-9"),
+    "dimension-bool": (["classify", "{dim_bool}"], None),
+    "points-bool": (
+        ["basis", "--n", "1", "--k-in", "1", "--k-out", "1", "--group", "{points_bool}"],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_line_error(case, tmp_path, monkeypatch, capsys):
+    paths = {}
+    for stem, text in BAD_INPUT_FILES.items():
+        paths[stem] = tmp_path / f"{stem}.json"
+        paths[stem].write_text(text)
+    argv, env_tol = BAD_INPUTS[case]
+    monkeypatch.delenv("EQUICHAR_TOL", raising=False)
+    if env_tol is not None:
+        monkeypatch.setenv("EQUICHAR_TOL", env_tol)
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 class TestDimensionLimit:

@@ -20,6 +20,7 @@ from equichar import (
     tensor_action,
     validate_network,
 )
+from equichar.catalog import cyclic_action_generators, symmetric_action_generators
 
 S3_GENS = ((1, 0, 2), (1, 2, 0))
 S4_GENS = ((1, 0, 2, 3), (1, 2, 3, 0))
@@ -159,6 +160,62 @@ class TestEquivariantBasis:
     def test_generator_count_mismatch(self):
         with pytest.raises(GeneratorCountMismatchError):
             equivariant_basis(PermAction(2, ((1, 0),)), PermAction(2, ()))
+
+
+def bell(m):
+    """Bell number B(m) from the Bell triangle."""
+    row = [1]
+    for _ in range(m - 1):
+        nxt = [row[-1]]
+        for value in row:
+            nxt.append(nxt[-1] + value)
+        row = nxt
+    return row[-1]
+
+
+class TestOrbitLabels:
+    def test_pair_orbits_match_brute_force_on_random_generators(self):
+        rng = np.random.default_rng(20240117)
+        for _ in range(60):
+            size_out, size_in = (int(v) for v in rng.integers(1, 8, size=2))
+            gens = [
+                (
+                    tuple(rng.permutation(size_out).tolist()),
+                    tuple(rng.permutation(size_in).tolist()),
+                )
+                for _ in range(int(rng.integers(0, 4)))
+            ]
+            a_out = PermAction(size_out, tuple(g for g, _ in gens))
+            a_in = PermAction(size_in, tuple(g for _, g in gens))
+            expected = _oracles.brute_force_pair_orbits(gens, size_out, size_in)
+            assert equivariant_basis(a_in, a_out).sparse_coordinates() == expected
+
+    @pytest.mark.parametrize(
+        "n, k_in, k_out", [(2, 1, 1), (3, 2, 1), (4, 1, 3), (4, 2, 2), (5, 2, 3), (6, 3, 3)]
+    )
+    def test_symmetric_tensor_basis_size_is_bell_number(self, n, k_in, k_out):
+        gens = symmetric_action_generators(n)
+        basis = equivariant_basis(tensor_action(n, k_in, gens), tensor_action(n, k_out, gens))
+        assert len(basis) == bell(k_in + k_out)
+
+    def test_long_random_cycle_is_one_orbit(self):
+        size = 200_000
+        cycle = np.random.default_rng(5).permutation(size)
+        images = np.empty(size, dtype=np.int64)
+        images[cycle] = np.roll(cycle, -1)
+        assert orbits(PermAction(size, (images.tolist(),))).blocks == (tuple(range(size)),)
+
+    def test_cyclic_pair_basis_has_n_cubed_elements(self):
+        action = tensor_action(31, 2, cyclic_action_generators(31))
+        basis = equivariant_basis(action, action)
+        assert len(basis) == 31**3
+        assert basis.labels.shape == (31**2, 31**2)
+
+    def test_layer_matrix_is_the_weighted_sum_of_elements(self):
+        basis = equivariant_basis(tensor_action(3, 2, S3_GENS), s_n(3))
+        weights = np.random.default_rng(8).standard_normal(len(basis))
+        expected = sum(w * el for w, el in zip(weights, basis.elements))
+        np.testing.assert_array_equal(build_affine_layer(basis, weights).matrix, expected)
 
 
 class TestInvariantBasis:
