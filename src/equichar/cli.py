@@ -46,7 +46,7 @@ from .errors import (
     UnboundedGroupError,
 )
 from .normalize import signed_normalize
-from .repspaces import equivariant_basis, tensor_action
+from .repspaces import PermAction, equivariant_basis, tensor_action
 from .tclass import SubgroupKind, classify_group_detailed, maximal_family
 
 SCHEMA_VERSION = "equichar-report-v1"
@@ -187,8 +187,10 @@ def _load_eta_activation(
     b = data.get("b", b_flag)
     if b is None:
         raise ParseError(f"{path}: base 'b' missing (provide it in the file or via --b)")
+    if isinstance(b, bool) or not isinstance(b, (int, float)):
+        raise ParseError(f"{path}: base 'b' must be a number")
     b = float(b)
-    if b_flag is not None and "b" in data and abs(float(data["b"]) - b_flag) > tol:
+    if b_flag is not None and "b" in data and abs(b - b_flag) > tol:
         raise ParseError(f"{path}: file base b={data['b']} conflicts with --b {b_flag}")
     signed = bool(data.get("signed", False)) or signed_flag
     if "etaPlus" not in data:
@@ -225,10 +227,11 @@ def _builtin_activation(token: str, tol: float) -> Activation:
 # serialization of domain values
 
 
-def _tclass_dict(tclass) -> dict:
-    out = {"kind": tclass.kind.value}
-    if tclass.b is not None:
-        out["b"] = tclass.b
+def _kind_dict(value) -> dict:
+    """A subgroup class or activation family as its kind and, when set, its base b."""
+    out = {"kind": value.kind.value}
+    if value.b is not None:
+        out["b"] = value.b
     return out
 
 
@@ -237,15 +240,8 @@ def _classification_dict(c) -> dict:
         "monomial": c.monomial,
         "nonNegative": c.non_negative,
         "unitRow": c.unit_row,
-        "tclass": _tclass_dict(c.tclass),
+        "tclass": _kind_dict(c.tclass),
     }
-
-
-def _family_dict(f) -> dict:
-    out = {"kind": f.kind.value}
-    if f.b is not None:
-        out["b"] = f.b
-    return out
 
 
 def _spec_input_dict(spec: GroupSpec, tol: float) -> dict:
@@ -274,7 +270,7 @@ def _cmd_classify(args) -> int:
         "command": "classify",
         "input": _spec_input_dict(spec, tol),
         "classification": _classification_dict(classification),
-        "family": _family_dict(family),
+        "family": _kind_dict(family),
         "warnings": warnings,
     }
     _emit(render_report(report), args.out)
@@ -314,7 +310,7 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
-def _load_action_generators(path: str, n: int) -> tuple[tuple[int, ...], ...]:
+def _load_action(path: str, n: int) -> PermAction:
     data = _load_json(path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")
@@ -324,12 +320,10 @@ def _load_action_generators(path: str, n: int) -> tuple[tuple[int, ...], ...]:
         raise ParseError(f"{path}: 'points' must equal --n ({n})")
     if not isinstance(generators, list):
         raise ParseError(f"{path}: 'generators' must be a list of 0-based image lists")
-    gens = []
-    for k, g in enumerate(generators):
-        if not isinstance(g, list) or sorted(g) != list(range(n)):
-            raise ParseError(f"{path}: generator {k} is not a bijection of range({n})")
-        gens.append(tuple(int(i) for i in g))
-    return tuple(gens)
+    try:
+        return PermAction(n, generators)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _cmd_basis(args) -> int:
@@ -340,7 +334,7 @@ def _cmd_basis(args) -> int:
     elif args.group == "cyclic":
         gens = cyclic_action_generators(args.n)
     else:
-        gens = _load_action_generators(args.group, args.n)
+        gens = _load_action(args.group, args.n).images
     a_in = tensor_action(args.n, args.k_in, gens)
     a_out = tensor_action(args.n, args.k_out, gens)
     basis = equivariant_basis(a_in, a_out)

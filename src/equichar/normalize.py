@@ -105,17 +105,7 @@ def positive_scaling(spec: GroupSpec, tol: float = DEFAULT_TOL) -> ScalingResult
 def signed_normalize(spec: GroupSpec, tol: float = DEFAULT_TOL) -> ScalingResult:
     """Rescale a signed monomial group so all conjugate entries lie in {0, +-1}.
 
-    Signs pass through the entrywise absolute-value homomorphism: the
-    rescaling is computed for the magnitude generators and then applied to
-    the originals, which works because diagonal matrices commute with the
-    sign pattern.
+    The same computation as ``positive_scaling``: the rescaling depends only
+    on coefficient magnitudes, and the conjugates keep each generator's signs.
     """
-    magnitude_spec = GroupSpec(
-        f"{spec.name}#magnitudes",
-        spec.n,
-        tuple(np.abs(g) for g in spec.generators),
-    )
-    scaling = positive_scaling(magnitude_spec, tol)
-    d = scaling.d
-    normalized = [(d[:, None] * g) / d[None, :] for g in spec.generators]
-    return ScalingResult(d, normalized)
+    return positive_scaling(spec, tol)

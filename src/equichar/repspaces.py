@@ -30,26 +30,46 @@ from .errors import (
 )
 
 MAX_TENSOR_POINTS = 1_000_000
+MAX_BASIS_PAIRS = 10_000_000
 
 
-@dataclass
+@dataclass(init=False, eq=False)
 class PermAction:
-    """An action on ``range(size)`` given by generator bijections (0-based images)."""
+    """An action on ``range(size)`` given by generator bijections (0-based images).
 
-    size: int
-    generators: tuple[tuple[int, ...], ...]
-    label: str = ""
+    ``images`` is the one stored form: a read-only integer array of shape
+    (generators, size) whose row k lists the images of generator k.  The
+    constructor checks it once; every row must be an integer bijection of
+    ``range(size)``, so booleans and floats are rejected.
+    """
 
-    def __post_init__(self) -> None:
-        if self.size < 1:
+    images: np.ndarray
+    label: str
+
+    def __init__(self, size: int, generators: Sequence[Sequence[int]], label: str = "") -> None:
+        if size < 1:
             raise ValueError("action needs at least one point")
-        gens = []
-        for k, g in enumerate(self.generators):
-            images = tuple(int(i) for i in g)
-            if sorted(images) != list(range(self.size)):
-                raise ValueError(f"generator {k} is not a bijection of range({self.size})")
-            gens.append(images)
-        self.generators = tuple(gens)
+        images = np.asarray(generators) if len(generators) else np.empty((0, size), np.intp)
+        if not np.issubdtype(images.dtype, np.integer):
+            raise ValueError(f"generator images must be integers, got {images.dtype}")
+        if images.ndim != 2 or images.shape[1] != size:
+            raise ValueError(f"each generator must list {size} images")
+        images = images.astype(np.intp)
+        bad = np.flatnonzero((np.sort(images, axis=1) != np.arange(size)).any(axis=1))
+        if bad.size:
+            raise ValueError(f"generator {bad[0]} is not a bijection of range({size})")
+        images.flags.writeable = False
+        self.images = images
+        self.label = label
+
+    @property
+    def size(self) -> int:
+        return self.images.shape[1]
+
+    @property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        """The images as tuples of ints, kept for API compatibility."""
+        return tuple(map(tuple, self.images.tolist()))
 
 
 @dataclass(frozen=True)
@@ -64,11 +84,6 @@ class OrbitDecomposition:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-
-def _images(action: PermAction) -> np.ndarray:
-    """Generator images as one (generators, size) index array."""
-    return np.asarray(action.generators, dtype=np.intp).reshape(-1, action.size)
 
 
 def _orbit_labels(images: np.ndarray) -> np.ndarray:
@@ -109,7 +124,7 @@ def _indicators(labels: np.ndarray) -> list[np.ndarray]:
 
 def orbits(action: PermAction) -> OrbitDecomposition:
     """Orbit partition of the index set under all generators."""
-    members, bounds = _blocks(_orbit_labels(_images(action)))
+    members, bounds = _blocks(_orbit_labels(action.images))
     points = members.tolist()
     return OrbitDecomposition(tuple(tuple(points[a:b]) for a, b in bounds))
 
@@ -131,18 +146,10 @@ def tensor_action(
     points = n**k
     if points > max_points:
         raise SizeExceededError(f"tensor action would need {points} points (limit {max_points})")
-    index = np.arange(points)
-    digits = [(index // n**t) % n for t in range(k)]
-    lifted = []
-    for g in gens:
-        images = np.asarray(tuple(int(i) for i in g))
-        if sorted(images.tolist()) != list(range(n)):
-            raise ValueError("tensor_action generators must be bijections of range(n)")
-        image = np.zeros(points, dtype=np.int64)
-        for t in range(k):
-            image += images[digits[t]] * n**t
-        lifted.append(tuple(int(i) for i in image))
-    return PermAction(points, tuple(lifted), label=f"tensor(n={n},k={k})")
+    base = PermAction(n, gens).images
+    powers = n ** np.arange(k)
+    digits = np.arange(points)[:, None] // powers % n
+    return PermAction(points, base[:, digits] @ powers, label=f"tensor(n={n},k={k})")
 
 
 @dataclass
@@ -187,25 +194,27 @@ def equivariant_basis(a_in: PermAction, a_out: PermAction) -> LayerBasis:
     point) pairs; the basis size equals the dimension of the space of
     equivariant linear maps.
     """
-    if len(a_in.generators) != len(a_out.generators):
+    g_out, g_in = a_out.images, a_in.images
+    if len(g_in) != len(g_out):
         raise GeneratorCountMismatchError(
-            f"parallel actions need equal generator counts "
-            f"({len(a_out.generators)} != {len(a_in.generators)})"
+            f"parallel actions need equal generator counts ({len(g_out)} != {len(g_in)})"
         )
-    g_out, g_in = _images(a_out), _images(a_in)
+    pairs = a_out.size * a_in.size
+    if pairs > MAX_BASIS_PAIRS:
+        raise SizeExceededError(f"layer basis would need {pairs} pairs (limit {MAX_BASIS_PAIRS})")
     pair_images = g_out[:, :, None] * a_in.size + g_in[:, None, :]
-    labels = _orbit_labels(pair_images.reshape(len(g_out), a_out.size * a_in.size))
+    labels = _orbit_labels(pair_images.reshape(len(g_out), pairs))
     return LayerBasis(labels.reshape(a_out.size, a_in.size))
 
 
 def invariant_basis(action: PermAction) -> list[np.ndarray]:
     """Orbit-indicator vectors spanning the subspace fixed by the action."""
-    return _indicators(_orbit_labels(_images(action)))
+    return _indicators(_orbit_labels(action.images))
 
 
 def is_trivial_rep(action: PermAction) -> bool:
     """True iff every generator fixes every point (all orbits are singletons)."""
-    return all(g[i] == i for g in action.generators for i in range(action.size))
+    return bool((action.images == np.arange(action.size)).all())
 
 
 def perm_matrix(gen: Sequence[int], dtype=float) -> np.ndarray:
@@ -311,12 +320,12 @@ def validate_network(
     for k, layer in enumerate(layers):
         if layer.dim_in != actions[k].size or layer.dim_out != actions[k + 1].size:
             raise ShapeMismatchError(f"layer {k} does not chain with its actions")
-    gen_count = len(actions[0].generators)
-    if any(len(a.generators) != gen_count for a in actions):
+    gen_count = len(actions[0].images)
+    if any(len(a.images) != gen_count for a in actions):
         raise GeneratorCountMismatchError("all actions must list the same abstract generators")
 
     # (P_g v)[g[i]] = v[i], so P_g v is v gathered through the inverse of g.
-    inverses = [np.argsort(_images(a), axis=1) for a in actions]
+    inverses = [np.argsort(a.images, axis=1) for a in actions]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for t in range(trials):

@@ -27,6 +27,21 @@ def run_cli(*args, env_extra=None):
     )
 
 
+@pytest.fixture
+def main_cli(monkeypatch, capsys):
+    """Run ``cli.main`` in this process; the result has ``run_cli``'s fields."""
+
+    def run(*args, env_extra=None):
+        monkeypatch.delenv("EQUICHAR_TOL", raising=False)
+        for key, value in (env_extra or {}).items():
+            monkeypatch.setenv(key, value)
+        code = cli.main(list(args))
+        captured = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, captured.out, captured.err)
+
+    return run
+
+
 def write_spec(path: Path, name: str, generators) -> Path:
     generators = [np.asarray(g, dtype=float).tolist() for g in generators]
     dimension = len(generators[0]) if generators else 1
@@ -52,8 +67,8 @@ def z2_spec(tmp_path, z2_matrix):
 
 
 class TestClassifyCommand:
-    def test_permutation_group(self, p_spec):
-        result = run_cli("classify", str(p_spec))
+    def test_permutation_group(self, main_cli, p_spec):
+        result = main_cli("classify", str(p_spec))
         assert result.returncode == 0, result.stderr
         report = json.loads(result.stdout)
         assert report["command"] == "classify"
@@ -62,15 +77,15 @@ class TestClassifyCommand:
         assert report["classification"]["tclass"] == {"kind": "Trivial"}
         assert report["warnings"] == []
 
-    def test_scaled_swap_is_2_multiplicative(self, z2_spec):
-        result = run_cli("classify", str(z2_spec))
+    def test_scaled_swap_is_2_multiplicative(self, main_cli, z2_spec):
+        result = main_cli("classify", str(z2_spec))
         report = json.loads(result.stdout)
         assert report["family"]["kind"] == "BMultiplicative"
         assert report["family"]["b"] == pytest.approx(2.0)
 
-    def test_rotation_is_linear_only_with_density_warning(self, tmp_path, rot60):
+    def test_rotation_is_linear_only_with_density_warning(self, main_cli, tmp_path, rot60):
         spec = write_spec(tmp_path / "c6.json", "c6-rotation", [rot60])
-        result = run_cli("classify", str(spec))
+        result = main_cli("classify", str(spec))
         report = json.loads(result.stdout)
         assert report["family"] == {"kind": "LinearOnly"}
         assert any("heuristic" in w for w in report["warnings"])
@@ -85,32 +100,32 @@ class TestClassifyCommand:
         result = run_cli("classify", str(z2_spec), "--out", str(out))
         assert out.read_text() == result.stdout
 
-    def test_tolerance_env_override(self, z2_spec):
-        result = run_cli("classify", str(z2_spec), env_extra={"EQUICHAR_TOL": "1e-6"})
+    def test_tolerance_env_override(self, main_cli, z2_spec):
+        result = main_cli("classify", str(z2_spec), env_extra={"EQUICHAR_TOL": "1e-6"})
         report = json.loads(result.stdout)
         assert report["input"]["tolerance"] == pytest.approx(1e-6)
 
-    def test_tolerance_flag_beats_env(self, z2_spec):
-        result = run_cli(
+    def test_tolerance_flag_beats_env(self, main_cli, z2_spec):
+        result = main_cli(
             "classify", str(z2_spec), "--tol", "1e-7", env_extra={"EQUICHAR_TOL": "1e-5"}
         )
         assert json.loads(result.stdout)["input"]["tolerance"] == pytest.approx(1e-7)
 
-    def test_floats_render_with_17_significant_digits(self, z2_spec):
-        result = run_cli("classify", str(z2_spec))
+    def test_floats_render_with_17_significant_digits(self, main_cli, z2_spec):
+        result = main_cli("classify", str(z2_spec))
         assert '"tolerance": 1.0000000000000001e-09' in result.stdout
 
 
 class TestNormalizeCommand:
-    def test_scaled_swap(self, z2_spec):
-        result = run_cli("normalize", str(z2_spec))
+    def test_scaled_swap(self, main_cli, z2_spec):
+        result = main_cli("normalize", str(z2_spec))
         assert result.returncode == 0
         report = json.loads(result.stdout)
         assert report["scaling"]["d"] == [1.0, 2.0]
         assert report["scaling"]["normalizedGenerators"] == [[[0.0, 1.0], [1.0, 0.0]]]
 
-    def test_permutation_gets_identity_scaling(self, p_spec):
-        report = json.loads(run_cli("normalize", str(p_spec)).stdout)
+    def test_permutation_gets_identity_scaling(self, main_cli, p_spec):
+        report = json.loads(main_cli("normalize", str(p_spec)).stdout)
         assert report["scaling"]["d"] == [1.0, 1.0, 1.0]
 
     def test_unbounded_diagonal_exits_4_with_cycle(self, tmp_path):
@@ -129,49 +144,64 @@ class TestNormalizeCommand:
         assert result.returncode == 5
         assert "not monomial" in result.stderr
 
-    def test_no_output_file_written_on_error(self, tmp_path, rot60):
+    def test_invertible_non_monomial_exits_5(self, main_cli, tmp_path):
+        spec = write_spec(tmp_path / "h.json", "hadamard", [[[1.0, 1.0], [1.0, -1.0]]])
+        result = main_cli("normalize", str(spec))
+        assert result.returncode == 5
+        assert "not monomial" in result.stderr
+
+    def test_no_output_file_written_on_error(self, main_cli, tmp_path, rot60):
         spec = write_spec(tmp_path / "c6.json", "c6", [rot60])
         out = tmp_path / "never.json"
-        result = run_cli("normalize", str(spec), "--out", str(out))
+        result = main_cli("normalize", str(spec), "--out", str(out))
         assert result.returncode == 5
         assert not out.exists()
 
 
 class TestBasisCommand:
-    def test_order_two_symmetric_basis(self):
-        result = run_cli("basis", "--n", "4", "--k-in", "2", "--k-out", "2", "--group", "sym")
+    def test_order_two_symmetric_basis(self, main_cli):
+        result = main_cli("basis", "--n", "4", "--k-in", "2", "--k-out", "2", "--group", "sym")
         report = json.loads(result.stdout)
         assert report["basis"]["count"] == 15
         assert report["basis"]["dimIn"] == 16
         assert report["basis"]["dimOut"] == 16
 
-    def test_deepsets_basis(self):
-        result = run_cli("basis", "--n", "3", "--k-in", "1", "--k-out", "1", "--group", "sym")
+    def test_deepsets_basis(self, main_cli):
+        result = main_cli("basis", "--n", "3", "--k-in", "1", "--k-out", "1", "--group", "sym")
         report = json.loads(result.stdout)
         assert report["basis"]["count"] == 2
         # elements are sparse (row, col) lists; the first is the diagonal orbit
         assert report["basis"]["elements"][0] == [[0, 0], [1, 1], [2, 2]]
 
-    def test_trivial_group_from_file(self, tmp_path):
+    def test_trivial_group_from_file(self, main_cli, tmp_path):
         action = tmp_path / "trivial.json"
         action.write_text(json.dumps({"name": "trivial", "points": 2, "generators": []}))
-        result = run_cli(
+        result = main_cli(
             "basis", "--n", "2", "--k-in", "1", "--k-out", "1", "--group", str(action)
         )
         assert json.loads(result.stdout)["basis"]["count"] == 4
 
-    def test_cyclic_group(self):
-        result = run_cli("basis", "--n", "6", "--k-in", "1", "--k-out", "1", "--group", "cyclic")
+    def test_cyclic_group(self, main_cli):
+        result = main_cli("basis", "--n", "6", "--k-in", "1", "--k-out", "1", "--group", "cyclic")
         assert json.loads(result.stdout)["basis"]["count"] == 6
 
     def test_size_cap_exits_3(self):
         result = run_cli("basis", "--n", "101", "--k-in", "3", "--k-out", "1", "--group", "sym")
         assert result.returncode == 3
 
+    def test_pair_limit_exits_3(self, main_cli):
+        result = main_cli(
+            "basis", "--n", "100", "--k-in", "3", "--k-out", "3", "--group", "cyclic"
+        )
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+
 
 class TestVerifyCommand:
-    def test_odd_activation_on_signed_permutation_passes(self, s_spec):
-        result = run_cli(
+    def test_odd_activation_on_signed_permutation_passes(self, main_cli, s_spec):
+        result = main_cli(
             "verify", str(s_spec), "--activation", "tanh", "--trials", "200", "--seed", "1"
         )
         assert result.returncode == 0
@@ -190,24 +220,24 @@ class TestVerifyCommand:
         assert counterexample["residual"] > 1e-8
         assert len(counterexample["x"]) == 3
 
-    def test_relu_on_plain_permutation_passes(self, p_spec):
-        result = run_cli("verify", str(p_spec), "--activation", "relu", "--seed", "3")
+    def test_relu_on_plain_permutation_passes(self, main_cli, p_spec):
+        result = main_cli("verify", str(p_spec), "--activation", "relu", "--seed", "3")
         assert result.returncode == 0
 
-    def test_eta_profile_activation(self, tmp_path, z2_spec):
+    def test_eta_profile_activation(self, main_cli, tmp_path, z2_spec):
         profile = tmp_path / "eta.json"
         xs = np.linspace(1.0, 2.0, 17)
         profile.write_text(
             json.dumps({"b": 2.0, "etaPlus": [[x, 0.25 * x] for x in xs]})
         )
-        result = run_cli(
+        result = main_cli(
             "verify", str(z2_spec), "--activation", f"eta:{profile}", "--seed", "2"
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["input"]["activation"] == "eta[b=2]"
 
-    def test_unknown_activation_is_parse_error(self, p_spec):
-        result = run_cli("verify", str(p_spec), "--activation", "gelu")
+    def test_unknown_activation_is_parse_error(self, main_cli, p_spec):
+        result = main_cli("verify", str(p_spec), "--activation", "gelu")
         assert result.returncode == 2
 
 
@@ -219,12 +249,12 @@ class TestExportActivationCommand:
         path.write_text(json.dumps({"b": 2.0, "etaPlus": np.c_[xs, ys].tolist()}))
         return path
 
-    def test_identity_profile_exports_identity(self, tmp_path):
+    def test_identity_profile_exports_identity(self, main_cli, tmp_path):
         xs = np.linspace(1.0, 2.0, 17)
         profile = tmp_path / "id.json"
         profile.write_text(json.dumps({"b": 2.0, "etaPlus": np.c_[xs, xs].tolist()}))
         out = tmp_path / "table.csv"
-        result = run_cli(
+        result = main_cli(
             "export-activation",
             "--eta-file", str(profile),
             "--signed",
@@ -239,9 +269,9 @@ class TestExportActivationCommand:
             x, fx = line.split(",")
             assert x == fx
 
-    def test_worked_bump_value(self, tmp_path):
+    def test_worked_bump_value(self, main_cli, tmp_path):
         profile = self._bump_profile(tmp_path)
-        result = run_cli(
+        result = main_cli(
             "export-activation",
             "--eta-file", str(profile),
             "--grid-min", "3", "--grid-max", "4", "--grid-count", "2",
@@ -249,9 +279,9 @@ class TestExportActivationCommand:
         assert result.returncode == 0
         assert result.stdout.splitlines()[1] == "3,3.75"
 
-    def test_b_flag_conflict_is_parse_error(self, tmp_path):
+    def test_b_flag_conflict_is_parse_error(self, main_cli, tmp_path):
         profile = self._bump_profile(tmp_path)
-        result = run_cli(
+        result = main_cli(
             "export-activation",
             "--b", "3",
             "--eta-file", str(profile),
@@ -278,28 +308,28 @@ class TestParseErrors:
         bad.write_text("{not json")
         assert run_cli("classify", str(bad)).returncode == 2
 
-    def test_nan_rejected(self, tmp_path):
+    def test_nan_rejected(self, main_cli, tmp_path):
         bad = tmp_path / "nan.json"
         bad.write_text('{"name": "x", "dimension": 1, "generators": [[[NaN]]]}')
-        assert run_cli("classify", str(bad)).returncode == 2
+        assert main_cli("classify", str(bad)).returncode == 2
 
-    def test_missing_file(self):
-        assert run_cli("classify", "/nonexistent/spec.json").returncode == 2
+    def test_missing_file(self, main_cli):
+        assert main_cli("classify", "/nonexistent/spec.json").returncode == 2
 
-    def test_singular_generator(self, tmp_path):
+    def test_singular_generator(self, main_cli, tmp_path):
         bad = tmp_path / "sing.json"
         bad.write_text('{"name": "x", "dimension": 2, "generators": [[[1, 0], [0, 0]]]}')
-        assert run_cli("classify", str(bad)).returncode == 2
+        assert main_cli("classify", str(bad)).returncode == 2
 
-    def test_dimension_mismatch(self, tmp_path):
+    def test_dimension_mismatch(self, main_cli, tmp_path):
         bad = tmp_path / "dim.json"
         bad.write_text('{"name": "x", "dimension": 3, "generators": [[[1, 0], [0, 1]]]}')
-        assert run_cli("classify", str(bad)).returncode == 2
+        assert main_cli("classify", str(bad)).returncode == 2
 
-    def test_action_file_points_must_match_n(self, tmp_path):
+    def test_action_file_points_must_match_n(self, main_cli, tmp_path):
         action = tmp_path / "act.json"
         action.write_text(json.dumps({"name": "t", "points": 3, "generators": []}))
-        result = run_cli(
+        result = main_cli(
             "basis", "--n", "2", "--k-in", "1", "--k-out", "1", "--group", str(action)
         )
         assert result.returncode == 2
@@ -314,8 +344,14 @@ BAD_INPUT_FILES = {
     "tol_bool": '{"name": "p", "dimension": 3, "generators": %s, "tolerance": true}' % P3,
     "dim_bool": '{"name": "x", "dimension": true, "generators": [[[1.0]]]}',
     "points_bool": '{"name": "t", "points": true, "generators": [[0]]}',
+    "images_bool": '{"name": "t", "points": 2, "generators": [[true, false]]}',
+    "images_float": '{"name": "t", "points": 2, "generators": [[1.0, 0.0]]}',
+    "b_str": '{"b": "x", "etaPlus": [[1, 1], [2, 2]]}',
+    "b_bool": '{"b": true, "etaPlus": [[1, 1], [2, 2]]}',
 }
 BASIS = ["basis", "--group", "sym"]
+BASIS_N2 = ["basis", "--n", "2", "--k-in", "1", "--k-out", "1", "--group"]
+EXPORT = ["export-activation", "--grid-min", "1", "--grid-max", "2", "--grid-count", "2"]
 BAD_INPUTS = {
     "basis-n-0": (BASIS + ["--n", "0", "--k-in", "1", "--k-out", "1"], None),
     "basis-k-in-0": (BASIS + ["--n", "3", "--k-in", "0", "--k-out", "1"], None),
@@ -338,6 +374,10 @@ BAD_INPUTS = {
         ["basis", "--n", "1", "--k-in", "1", "--k-out", "1", "--group", "{points_bool}"],
         None,
     ),
+    "action-images-bool": (BASIS_N2 + ["{images_bool}"], None),
+    "action-images-float": (BASIS_N2 + ["{images_float}"], None),
+    "profile-b-str": (EXPORT + ["--eta-file", "{b_str}"], None),
+    "profile-b-bool": (EXPORT + ["--eta-file", "{b_bool}"], None),
 }
 
 
@@ -359,11 +399,11 @@ def test_bad_input_exits_2_with_one_line_error(case, tmp_path, monkeypatch, caps
 
 
 class TestDimensionLimit:
-    def test_large_non_monomial_classify_exits_3(self, tmp_path):
+    def test_large_non_monomial_classify_exits_3(self, main_cli, tmp_path):
         shear = np.eye(21)
         shear[0, 1] = 1.0
         spec = write_spec(tmp_path / "big.json", "shear21", [shear])
-        result = run_cli("classify", str(spec))
+        result = main_cli("classify", str(spec))
         assert result.returncode == 3
         assert "subset-sum limit" in result.stderr
 

@@ -5,11 +5,14 @@ from hypothesis import strategies as st
 
 from conftest import rotation, spec_of
 from equichar import (
+    FamilyKind,
     GroupSpec,
     MonomialForm,
     ShapeMismatchError,
+    classify_group,
     close_group,
     is_unit_row,
+    maximal_family,
     monomial_decompose,
 )
 
@@ -79,6 +82,22 @@ class TestGroupSpec:
     def test_rejects_singular_generator(self):
         with pytest.raises(ValueError):
             GroupSpec("bad", 2, (np.zeros((2, 2)),))
+
+    @pytest.mark.parametrize(
+        "mat, b",
+        [
+            (0.5 * np.roll(np.eye(40), 1, axis=0), 2.0),
+            (0.1 * np.eye(10), 10.0),
+            (0.5 * np.eye(40)[np.random.default_rng(0).permutation(40)], 2.0),
+        ],
+        ids=["half-40-cycle", "tenth-identity-10", "half-permutation-40"],
+    )
+    def test_accepts_scaled_monomials_with_tiny_determinant(self, mat, b):
+        # |det| is 0.5**40 or 0.1**10, far below DEFAULT_TOL, yet the matrix
+        # is perfectly conditioned.
+        family = maximal_family(classify_group(GroupSpec("scaled", mat.shape[0], (mat,))))
+        assert family.kind == FamilyKind.B_MULTIPLICATIVE
+        assert family.b == pytest.approx(b)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):

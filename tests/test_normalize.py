@@ -100,6 +100,11 @@ class TestSignedNormalize:
         with pytest.raises(UnboundedGroupError):
             signed_normalize(spec_of("m", m_matrix))
 
+    def test_invertible_non_monomial_is_not_monomial(self):
+        # |g| = [[1, 1], [1, 1]] is singular, but only g itself is the input.
+        with pytest.raises(NotMonomialError):
+            signed_normalize(spec_of("h", np.array([[1.0, 1.0], [1.0, -1.0]])))
+
     def test_soundness_on_random_scalable_groups(self):
         rng = np.random.default_rng(42)
         for trial in range(20):

@@ -21,6 +21,7 @@ from equichar import (
     validate_network,
 )
 from equichar.catalog import cyclic_action_generators, symmetric_action_generators
+from equichar.repspaces import MAX_BASIS_PAIRS
 
 S3_GENS = ((1, 0, 2), (1, 2, 0))
 S4_GENS = ((1, 0, 2, 3), (1, 2, 3, 0))
@@ -40,6 +41,24 @@ class TestPermAction:
     def test_rejects_empty_set(self):
         with pytest.raises(ValueError):
             PermAction(0, ())
+
+    @pytest.mark.parametrize(
+        "generators",
+        [((True, False),), ((1.0, 0.0),), ((1, 0), (0,)), ((0, 1, 2),), (("1", "0"),)],
+        ids=["bool", "float", "ragged", "too-long", "str"],
+    )
+    def test_rejects_non_integer_or_misshapen_images(self, generators):
+        with pytest.raises(ValueError):
+            PermAction(2, generators)
+
+    def test_stores_one_read_only_image_array(self):
+        action = PermAction(3, [[1, 0, 2], (1, 2, 0)])
+        assert action.images.shape == (2, 3)
+        assert np.issubdtype(action.images.dtype, np.integer)
+        assert not action.images.flags.writeable
+        assert action.size == 3
+        assert action.generators == S3_GENS
+        assert PermAction(4, ()).images.shape == (0, 4)
 
 
 class TestOrbits:
@@ -99,6 +118,10 @@ class TestTensorAction:
     def test_size_cap(self):
         with pytest.raises(SizeExceededError):
             tensor_action(10, 7, ((1, 0) + tuple(range(2, 10)),))
+
+    def test_rejects_boolean_generators(self):
+        with pytest.raises(ValueError):
+            tensor_action(2, 2, ((True, False),))
 
 
 class TestEquivariantBasis:
@@ -160,6 +183,13 @@ class TestEquivariantBasis:
     def test_generator_count_mismatch(self):
         with pytest.raises(GeneratorCountMismatchError):
             equivariant_basis(PermAction(2, ((1, 0),)), PermAction(2, ()))
+
+    def test_pair_limit_raises_before_allocating(self):
+        # 2,501 x 4,000 pairs exceed MAX_BASIS_PAIRS; without generators the
+        # actions themselves are tiny, so only the pair arrays could be large.
+        assert 2_501 * 4_000 > MAX_BASIS_PAIRS
+        with pytest.raises(SizeExceededError):
+            equivariant_basis(PermAction(2_501, ()), PermAction(4_000, ()))
 
 
 def bell(m):
