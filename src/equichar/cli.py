@@ -330,13 +330,13 @@ def _cmd_basis(args) -> int:
     if min(args.n, args.k_in, args.k_out) < 1:
         raise ParseError("--n, --k-in and --k-out must be at least 1")
     if args.group == "sym":
-        gens = symmetric_action_generators(args.n)
+        base = PermAction(args.n, symmetric_action_generators(args.n))
     elif args.group == "cyclic":
-        gens = cyclic_action_generators(args.n)
+        base = PermAction(args.n, cyclic_action_generators(args.n))
     else:
-        gens = _load_action(args.group, args.n).images
-    a_in = tensor_action(args.n, args.k_in, gens)
-    a_out = tensor_action(args.n, args.k_out, gens)
+        base = _load_action(args.group, args.n)
+    a_in = tensor_action(args.n, args.k_in, base)
+    a_out = tensor_action(args.n, args.k_out, base)
     basis = equivariant_basis(a_in, a_out)
     report = {
         "schemaVersion": SCHEMA_VERSION,

@@ -83,10 +83,10 @@ def monomial_decompose(m, tol: float = DEFAULT_TOL) -> MonomialForm | None:
 class GroupSpec:
     """A matrix group given by name, dimension, and a generator list.
 
-    Generators must be square of dimension ``n`` and invertible: their
-    condition number must stay below ``1 / DEFAULT_TOL``, a test that does
-    not depend on the scale of the matrix.  An empty generator list denotes
-    the trivial group.
+    Generators must be square of dimension ``n`` with smallest singular value
+    above ``DEFAULT_TOL``; for a monomial matrix that is its least coefficient
+    magnitude, so the test agrees with ``monomial_decompose``.  An empty
+    generator list denotes the trivial group.
     """
 
     name: str
@@ -103,7 +103,7 @@ class GroupSpec:
                 raise ShapeMismatchError(
                     f"generator {k} has dimension {a.shape[0]}, expected {self.n}"
                 )
-            if np.linalg.cond(a) * DEFAULT_TOL >= 1:
+            if np.linalg.norm(a, -2) <= DEFAULT_TOL:
                 raise ValueError(f"generator {k} is not invertible")
             mats.append(a)
         self.generators = tuple(mats)

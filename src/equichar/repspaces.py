@@ -62,6 +62,18 @@ class PermAction:
         self.images = images
         self.label = label
 
+    @classmethod
+    def _vetted(cls, images: np.ndarray, label: str) -> "PermAction":
+        """Wrap an index array already known to hold bijections, without re-checking."""
+        action = cls.__new__(cls)
+        images.flags.writeable = False
+        action.images, action.label = images, label
+        return action
+
+    def __eq__(self, other: object) -> bool:  # defining it leaves instances unhashable
+        same = isinstance(other, PermAction) and self.label == other.label
+        return same and np.array_equal(self.images, other.images)
+
     @property
     def size(self) -> int:
         return self.images.shape[1]
@@ -132,10 +144,12 @@ def orbits(action: PermAction) -> OrbitDecomposition:
 def tensor_action(
     n: int,
     k: int,
-    gens: Sequence[Sequence[int]],
+    gens: PermAction | Sequence[Sequence[int]],
     max_points: int = MAX_TENSOR_POINTS,
 ) -> PermAction:
     """Coordinatewise action on k-tuples over ``range(n)``.
+
+    ``gens`` is an action on ``range(n)``, lifted without a second check, or its images.
 
     Tuples map to integers by little-endian mixed radix: the first tuple
     coordinate is the least significant base-n digit.  This encoding is part
@@ -146,10 +160,13 @@ def tensor_action(
     points = n**k
     if points > max_points:
         raise SizeExceededError(f"tensor action would need {points} points (limit {max_points})")
-    base = PermAction(n, gens).images
-    powers = n ** np.arange(k)
+    base = gens if isinstance(gens, PermAction) else PermAction(n, gens)
+    if base.size != n:
+        raise ValueError(f"generators act on {base.size} points, expected {n}")
+    powers = n ** np.arange(k, dtype=np.intp)
     digits = np.arange(points)[:, None] // powers % n
-    return PermAction(points, base[:, digits] @ powers, label=f"tensor(n={n},k={k})")
+    # A coordinatewise lift of bijections is a bijection: no second check.
+    return PermAction._vetted(base.images[:, digits] @ powers, f"tensor(n={n},k={k})")
 
 
 @dataclass
@@ -219,11 +236,9 @@ def is_trivial_rep(action: PermAction) -> bool:
 
 def perm_matrix(gen: Sequence[int], dtype=float) -> np.ndarray:
     """Column-convention permutation matrix: column i carries e_{gen[i]}."""
-    images = tuple(int(i) for i in gen)
-    n = len(images)
-    out = np.zeros((n, n), dtype=dtype)
-    for i, image in enumerate(images):
-        out[image, i] = 1
+    images = np.asarray(gen, dtype=np.intp)
+    out = np.zeros((images.size, images.size), dtype=dtype)
+    out[images, np.arange(images.size)] = 1
     return out
 
 
@@ -326,35 +341,23 @@ def validate_network(
 
     # (P_g v)[g[i]] = v[i], so P_g v is v gathered through the inverse of g.
     inverses = [np.argsort(a.images, axis=1) for a in actions]
+    # Each stage is (kind, map, index of the action on its output space).
+    stages = []
+    for k, layer in enumerate(layers):
+        stages.append(("affine", layer.apply, k + 1))
+        if k < len(activations):
+            stages.append(("activation", activations[k], k + 1))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for t in range(trials):
         x = _nonzero_uniform(rng, actions[0].size)
         for gi in range(gen_count):
-            transformed = x[inverses[0][gi]]
-            plain = x.copy()
-            stage = 0
-            for k, layer in enumerate(layers):
-                stage += 1
-                transformed = layer.apply(transformed)
-                plain = layer.apply(plain)
-                residual = float(np.abs(transformed - plain[inverses[k + 1][gi]]).max())
+            transformed, plain = x[inverses[0][gi]], x.copy()
+            for stage, (kind, f, space) in enumerate(stages, 1):
+                transformed, plain = f(transformed), f(plain)
+                residual = float(np.abs(transformed - plain[inverses[space][gi]]).max())
                 worst = max(worst, residual)
                 if residual > tol:
-                    return NetworkReport(
-                        False, trials, worst, StageFailure(stage, "affine", t, gi, residual, x)
-                    )
-                if k < len(activations):
-                    stage += 1
-                    transformed = activations[k](transformed)
-                    plain = activations[k](plain)
-                    residual = float(np.abs(transformed - plain[inverses[k + 1][gi]]).max())
-                    worst = max(worst, residual)
-                    if residual > tol:
-                        return NetworkReport(
-                            False,
-                            trials,
-                            worst,
-                            StageFailure(stage, "activation", t, gi, residual, x),
-                        )
+                    failure = StageFailure(stage, kind, t, gi, residual, x)
+                    return NetworkReport(False, trials, worst, failure)
     return NetworkReport(True, trials, worst, None)

@@ -100,6 +100,15 @@ class TestClassifyCommand:
         result = run_cli("classify", str(z2_spec), "--out", str(out))
         assert out.read_text() == result.stdout
 
+    def test_badly_scaled_swap_is_classified(self, main_cli, tmp_path):
+        spec = write_spec(tmp_path / "swap.json", "swap", [[[0, 1e5], [1e-5, 0]]])
+        result = main_cli("classify", str(spec))
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert report["classification"]["monomial"] is True
+        assert report["family"]["kind"] == "BMultiplicative"
+        assert report["family"]["b"] == pytest.approx(1e5)
+
     def test_tolerance_env_override(self, main_cli, z2_spec):
         result = main_cli("classify", str(z2_spec), env_extra={"EQUICHAR_TOL": "1e-6"})
         report = json.loads(result.stdout)
@@ -348,6 +357,7 @@ BAD_INPUT_FILES = {
     "images_float": '{"name": "t", "points": 2, "generators": [[1.0, 0.0]]}',
     "b_str": '{"b": "x", "etaPlus": [[1, 1], [2, 2]]}',
     "b_bool": '{"b": true, "etaPlus": [[1, 1], [2, 2]]}',
+    "tiny_scalar": '{"name": "x", "dimension": 1, "generators": [[[1e-10]]]}',
 }
 BASIS = ["basis", "--group", "sym"]
 BASIS_N2 = ["basis", "--n", "2", "--k-in", "1", "--k-out", "1", "--group"]
@@ -378,6 +388,8 @@ BAD_INPUTS = {
     "action-images-float": (BASIS_N2 + ["{images_float}"], None),
     "profile-b-str": (EXPORT + ["--eta-file", "{b_str}"], None),
     "profile-b-bool": (EXPORT + ["--eta-file", "{b_bool}"], None),
+    "classify-tiny-scalar": (["classify", "{tiny_scalar}"], None),
+    "normalize-tiny-scalar": (["normalize", "{tiny_scalar}"], None),
 }
 
 

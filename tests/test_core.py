@@ -99,6 +99,19 @@ class TestGroupSpec:
         assert family.kind == FamilyKind.B_MULTIPLICATIVE
         assert family.b == pytest.approx(b)
 
+    @pytest.mark.parametrize("mat", [np.array([[1e-10]]), 1e-10 * np.eye(3)], ids=["1x1", "3x3"])
+    def test_rejects_matrices_below_the_tolerance(self, mat):
+        # monomial_decompose would read every entry as zero.
+        with pytest.raises(ValueError, match="not invertible"):
+            GroupSpec("tiny", mat.shape[0], (mat,))
+
+    def test_accepts_badly_scaled_invertible_swap(self):
+        # det -1 and order 2, although the coefficients span ten orders of magnitude.
+        mat = np.array([[0.0, 1e5], [1e-5, 0.0]])
+        family = maximal_family(classify_group(GroupSpec("swap", 2, (mat,))))
+        assert family.kind == FamilyKind.B_MULTIPLICATIVE
+        assert family.b == pytest.approx(1e5)
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             GroupSpec("bad", 2, (np.array([[np.nan, 0.0], [0.0, 1.0]]),))

@@ -60,6 +60,16 @@ class TestPermAction:
         assert action.generators == S3_GENS
         assert PermAction(4, ()).images.shape == (0, 4)
 
+    def test_equality_compares_images_and_label(self):
+        action = PermAction(2, ((1, 0),))
+        assert action == PermAction(2, [[1, 0]])
+        assert action != PermAction(2, ((1, 0),), label="swap")
+        assert action != PermAction(2, ((0, 1),))
+        assert action != PermAction(3, ())
+        assert PermAction(3, ()) != PermAction(4, ())
+        with pytest.raises(TypeError):
+            hash(action)
+
 
 class TestOrbits:
     def test_natural_symmetric_action_is_transitive(self):
@@ -122,6 +132,15 @@ class TestTensorAction:
     def test_rejects_boolean_generators(self):
         with pytest.raises(ValueError):
             tensor_action(2, 2, ((True, False),))
+
+    def test_lifts_an_action_like_its_images(self):
+        base = PermAction(3, S3_GENS)
+        for k in (1, 2, 3):
+            assert tensor_action(3, k, base) == tensor_action(3, k, S3_GENS)
+
+    def test_rejects_an_action_of_another_size(self):
+        with pytest.raises(ValueError):
+            tensor_action(3, 2, PermAction(4, ()))
 
 
 class TestEquivariantBasis:
