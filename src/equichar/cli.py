@@ -36,7 +36,7 @@ from .activations import (
     verify_pointwise_equivariance,
 )
 from .catalog import cyclic_action_generators, symmetric_action_generators
-from .core import DEFAULT_TOL, GroupSpec
+from .core import DEFAULT_TOL, GroupSpec, check_invertible
 from .errors import (
     DimensionTooLargeError,
     EndpointViolationError,
@@ -138,7 +138,8 @@ def _check_tol(tol: float, source: str) -> float:
     return tol
 
 
-def _load_group_spec(path: str) -> tuple[GroupSpec, float | None]:
+def _load_group_spec(path: str, flag_tol: float | None) -> tuple[GroupSpec, float]:
+    """The spec in ``path`` and the resolved tolerance, which every generator must clear."""
     data = _load_json(path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")
@@ -158,9 +159,13 @@ def _load_group_spec(path: str) -> tuple[GroupSpec, float | None]:
         file_tol = _check_tol(float(file_tol), f"{path}: 'tolerance'")
     try:
         spec = GroupSpec(name, dimension, tuple(np.asarray(g, dtype=float) for g in generators))
+        tol = _resolve_tol(flag_tol, file_tol)
+        if tol > DEFAULT_TOL:  # GroupSpec has checked up to DEFAULT_TOL
+            for k, g in enumerate(spec.generators):
+                check_invertible(k, g, tol)
     except (ValueError, ShapeMismatchError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return spec, file_tol
+    return spec, tol
 
 
 def _resolve_tol(flag_tol: float | None, file_tol: float | None) -> float:
@@ -258,8 +263,7 @@ def _spec_input_dict(spec: GroupSpec, tol: float) -> dict:
 
 
 def _cmd_classify(args) -> int:
-    spec, file_tol = _load_group_spec(args.spec)
-    tol = _resolve_tol(args.tol, file_tol)
+    spec, tol = _load_group_spec(args.spec, args.tol)
     classification, notes = classify_group_detailed(spec, tol)
     family = maximal_family(classification)
     warnings = list(notes)
@@ -278,8 +282,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    spec, file_tol = _load_group_spec(args.spec)
-    tol = _resolve_tol(args.tol, file_tol)
+    spec, tol = _load_group_spec(args.spec, args.tol)
     base = {
         "schemaVersion": SCHEMA_VERSION,
         "command": "normalize",
@@ -346,9 +349,7 @@ def _cmd_basis(args) -> int:
             "dimIn": basis.dim_in,
             "dimOut": basis.dim_out,
             "count": len(basis),
-            "elements": [
-                [[r, c] for r, c in coords] for coords in basis.sparse_coordinates()
-            ],
+            "elements": basis.sparse_coordinates(),
         },
         "warnings": [],
     }
@@ -359,8 +360,7 @@ def _cmd_basis(args) -> int:
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise ParseError("--trials must be at least 1")
-    spec, file_tol = _load_group_spec(args.spec)
-    tol = _resolve_tol(args.tol, file_tol)
+    spec, tol = _load_group_spec(args.spec, args.tol)
     activation = _builtin_activation(args.activation, tol)
     result = verify_pointwise_equivariance(
         activation, spec.generators, trials=args.trials, tol=tol, seed=args.seed
@@ -474,22 +474,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# refused inputs and their exit codes; each gets one ``error:`` line on stderr
+_EXIT_CODES = {
+    ParseError: 2,
+    DimensionTooLargeError: 3,
+    SizeExceededError: 3,
+    NotMonomialError: 5,
+    EndpointViolationError: 6,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DimensionTooLargeError, SizeExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NotMonomialError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except EndpointViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ comparisons use a single absolute tolerance.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,17 +102,15 @@ class GroupSpec:
                 raise ShapeMismatchError(
                     f"generator {k} has dimension {a.shape[0]}, expected {self.n}"
                 )
-            if np.linalg.norm(a, -2) <= DEFAULT_TOL:
-                raise ValueError(f"generator {k} is not invertible")
+            check_invertible(k, a, DEFAULT_TOL)
             mats.append(a)
         self.generators = tuple(mats)
 
-    @classmethod
-    def from_matrices(cls, name: str, mats) -> "GroupSpec":
-        mats = [as_matrix(m) for m in mats]
-        if not mats:
-            raise ValueError("from_matrices needs at least one matrix")
-        return cls(name, mats[0].shape[0], tuple(mats))
+
+def check_invertible(k: int, a: np.ndarray, tol: float) -> None:
+    """Refuse generator ``k`` when its smallest singular value is at or below ``tol``."""
+    if np.linalg.norm(a, -2) <= tol:
+        raise ValueError(f"generator {k} is not invertible")
 
 
 @dataclass
@@ -125,35 +122,6 @@ class ClosureResult:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-class _MatrixSet:
-    """Append-only set of matrices with tolerance-based membership."""
-
-    def __init__(self, n: int, tol: float) -> None:
-        self._buf = np.empty((16, n, n))
-        self._len = 0
-        self._tol = tol
-
-    def __len__(self) -> int:
-        return self._len
-
-    def contains(self, mat: np.ndarray) -> bool:
-        if self._len == 0:
-            return False
-        diffs = np.abs(self._buf[: self._len] - mat).max(axis=(1, 2))
-        return bool(diffs.min() <= self._tol)
-
-    def add(self, mat: np.ndarray) -> None:
-        if self._len == self._buf.shape[0]:
-            grown = np.empty((2 * self._len,) + self._buf.shape[1:])
-            grown[: self._len] = self._buf
-            self._buf = grown
-        self._buf[self._len] = mat
-        self._len += 1
-
-    def items(self) -> list[np.ndarray]:
-        return [self._buf[i].copy() for i in range(self._len)]
 
 
 def close_group(
@@ -168,24 +136,28 @@ def close_group(
     hit ``cap`` and the group may be infinite.  For invertible matrices a
     stabilized closure under products is automatically closed under inverses,
     since every element then has finite order.
+
+    The elements live in one growing (m, n, n) array in discovery order; the
+    breadth-first queue is the part of it after ``head``.
     """
-    seen = _MatrixSet(spec.n, tol)
-    seen.add(np.eye(spec.n))
-    queue: deque[np.ndarray] = deque([np.eye(spec.n)])
-    complete = True
-    while queue:
-        current = queue.popleft()
+    found = np.empty((16, spec.n, spec.n))
+    found[0] = np.eye(spec.n)
+    size, head, complete = 1, 0, True
+    while head < size and complete:
+        current = found[head]
+        head += 1
         for g in spec.generators:
             candidate = current @ g
-            if seen.contains(candidate):
+            if np.abs(found[:size] - candidate).max(axis=(1, 2)).min() <= tol:
                 continue
-            if len(seen) >= cap:
+            if size >= cap:
                 complete = False
-                queue.clear()
                 break
-            seen.add(candidate)
-            queue.append(candidate)
-    return ClosureResult(seen.items(), complete)
+            if size == len(found):
+                found = np.concatenate([found, np.empty_like(found)])
+            found[size] = candidate
+            size += 1
+    return ClosureResult(list(found[:size]), complete)
 
 
 def is_unit_row(m, tol: float = DEFAULT_TOL) -> bool:

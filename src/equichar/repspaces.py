@@ -33,6 +33,19 @@ MAX_TENSOR_POINTS = 1_000_000
 MAX_BASIS_PAIRS = 10_000_000
 
 
+def _image_row(k: int, images, size: int) -> np.ndarray:
+    """Generator ``k``'s images as one integer array of length ``size``."""
+    try:
+        row = np.asarray(images)
+    except ValueError:  # a ragged nesting inside the generator
+        row = None
+    if row is None or row.shape != (size,):
+        raise ValueError(f"generator {k} must list {size} images")
+    if not np.issubdtype(row.dtype, np.integer):
+        raise ValueError(f"generator {k} images must be integers, got {row.dtype}")
+    return row
+
+
 @dataclass(init=False, eq=False)
 class PermAction:
     """An action on ``range(size)`` given by generator bijections (0-based images).
@@ -49,12 +62,8 @@ class PermAction:
     def __init__(self, size: int, generators: Sequence[Sequence[int]], label: str = "") -> None:
         if size < 1:
             raise ValueError("action needs at least one point")
-        images = np.asarray(generators) if len(generators) else np.empty((0, size), np.intp)
-        if not np.issubdtype(images.dtype, np.integer):
-            raise ValueError(f"generator images must be integers, got {images.dtype}")
-        if images.ndim != 2 or images.shape[1] != size:
-            raise ValueError(f"each generator must list {size} images")
-        images = images.astype(np.intp)
+        rows = [_image_row(k, g, size) for k, g in enumerate(generators)]
+        images = np.array(rows, np.intp) if rows else np.empty((0, size), np.intp)
         bad = np.flatnonzero((np.sort(images, axis=1) != np.arange(size)).any(axis=1))
         if bad.size:
             raise ValueError(f"generator {bad[0]} is not a bijection of range({size})")
@@ -141,12 +150,7 @@ def orbits(action: PermAction) -> OrbitDecomposition:
     return OrbitDecomposition(tuple(tuple(points[a:b]) for a, b in bounds))
 
 
-def tensor_action(
-    n: int,
-    k: int,
-    gens: PermAction | Sequence[Sequence[int]],
-    max_points: int = MAX_TENSOR_POINTS,
-) -> PermAction:
+def tensor_action(n: int, k: int, gens: PermAction | Sequence[Sequence[int]]) -> PermAction:
     """Coordinatewise action on k-tuples over ``range(n)``.
 
     ``gens`` is an action on ``range(n)``, lifted without a second check, or its images.
@@ -158,8 +162,10 @@ def tensor_action(
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
     points = n**k
-    if points > max_points:
-        raise SizeExceededError(f"tensor action would need {points} points (limit {max_points})")
+    if points > MAX_TENSOR_POINTS:
+        raise SizeExceededError(
+            f"tensor action would need {points} points (limit {MAX_TENSOR_POINTS})"
+        )
     base = gens if isinstance(gens, PermAction) else PermAction(n, gens)
     if base.size != n:
         raise ValueError(f"generators act on {base.size} points, expected {n}")

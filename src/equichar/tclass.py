@@ -46,6 +46,14 @@ class SubgroupKind(str, Enum):
 _KINDS_WITH_BASE = (SubgroupKind.POWERS_OF_B, SubgroupKind.SIGNED_POWERS_OF_B)
 
 
+def _check_base(kind: Enum, b: float | None, needs_base: bool) -> None:
+    """A kind with a base needs a real b > 1 (NaN is refused); any other kind none."""
+    if needs_base and not (b is not None and b > 1.0):
+        raise ValueError(f"{kind.value} requires a base b > 1")
+    if not needs_base and b is not None:
+        raise ValueError(f"{kind.value} does not carry a base")
+
+
 @dataclass(frozen=True)
 class SubgroupClass:
     """A multiplicative subgroup of R* up to the discrete/dense dichotomy."""
@@ -54,11 +62,7 @@ class SubgroupClass:
     b: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in _KINDS_WITH_BASE:
-            if self.b is None or self.b <= 1.0 + DEFAULT_TOL:
-                raise ValueError(f"{self.kind.value} requires a base b > 1")
-        elif self.b is not None:
-            raise ValueError(f"{self.kind.value} does not carry a base")
+        _check_base(self.kind, self.b, self.kind in _KINDS_WITH_BASE)
 
 
 class FamilyKind(str, Enum):
@@ -71,7 +75,21 @@ class FamilyKind(str, Enum):
     LINEAR_ONLY = "LinearOnly"
 
 
-_FAMILIES_WITH_BASE = (FamilyKind.B_MULTIPLICATIVE, FamilyKind.PM_B_MULTIPLICATIVE)
+# The theorem's seven maximal pairs: each family maps to its maximal matrix
+# group's (monomial, non_negative, unit_row, scalar subgroup kind).
+_PAIRS = {
+    FamilyKind.CONTINUOUS: (True, True, True, SubgroupKind.TRIVIAL),
+    FamilyKind.ODD_CONTINUOUS: (True, False, False, SubgroupKind.PLUS_MINUS_ONE),
+    FamilyKind.SEMILINEAR: (True, True, False, SubgroupKind.DENSE_POSITIVE),
+    FamilyKind.B_MULTIPLICATIVE: (True, True, False, SubgroupKind.POWERS_OF_B),
+    FamilyKind.PM_B_MULTIPLICATIVE: (True, False, False, SubgroupKind.SIGNED_POWERS_OF_B),
+    FamilyKind.AFFINE_ONLY: (False, False, True, SubgroupKind.DENSE),
+    FamilyKind.LINEAR_ONLY: (False, False, False, SubgroupKind.DENSE),
+}
+_FAMILIES_WITH_BASE = tuple(f for f, row in _PAIRS.items() if row[3] in _KINDS_WITH_BASE)
+# the table inverted: monomial rows by subgroup kind, the others by unit_row
+_MONOMIAL_FAMILY = {row[3]: f for f, row in _PAIRS.items() if row[0]}
+_GENERAL_FAMILY = {row[2]: f for f, row in _PAIRS.items() if not row[0]}
 
 
 @dataclass(frozen=True)
@@ -82,11 +100,7 @@ class ActivationFamily:
     b: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in _FAMILIES_WITH_BASE:
-            if self.b is None or self.b <= 1.0 + DEFAULT_TOL:
-                raise ValueError(f"{self.kind.value} requires a base b > 1")
-        elif self.b is not None:
-            raise ValueError(f"{self.kind.value} does not carry a base")
+        _check_base(self.kind, self.b, self.kind in _FAMILIES_WITH_BASE)
 
 
 @dataclass(frozen=True)
@@ -98,7 +112,7 @@ class TGenerators:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("generator set must be nonempty")
-        if any(abs(v) <= DEFAULT_TOL for v in self.values):
+        if any(v == 0.0 for v in self.values):
             raise ValueError("generator values must be nonzero")
 
 
@@ -233,8 +247,11 @@ def classify_group_detailed(
                 f"subset-sum limit of {MAX_SUBSET_DIM}"
             )
         non_negative = False
-        closure = close_group(spec, cap, tol)
-        if closure.complete:
+        # Every element of a finite group has |det| = 1.  A generator with
+        # log|det| > n*tol has an eigenvalue of modulus above 1, so its
+        # powers grow without bound and the closure can only hit the cap.
+        finite = all(np.linalg.slogdet(g)[1] <= spec.n * tol for g in spec.generators)
+        if finite and (closure := close_group(spec, cap, tol)).complete:
             mats = closure.elements
         else:
             mats = spec.generators
@@ -266,21 +283,10 @@ def maximal_family(c: GroupClassification) -> ActivationFamily:
     subgroup forces linearity, so those groups collapse to the affine/linear
     pairs together with the non-monomial ones.
     """
-    if c.monomial:
-        k = c.tclass.kind
-        if k is SubgroupKind.TRIVIAL:
-            return ActivationFamily(FamilyKind.CONTINUOUS)
-        if k is SubgroupKind.PLUS_MINUS_ONE:
-            return ActivationFamily(FamilyKind.ODD_CONTINUOUS)
-        if k is SubgroupKind.POWERS_OF_B:
-            return ActivationFamily(FamilyKind.B_MULTIPLICATIVE, c.tclass.b)
-        if k is SubgroupKind.SIGNED_POWERS_OF_B:
-            return ActivationFamily(FamilyKind.PM_B_MULTIPLICATIVE, c.tclass.b)
-        if k is SubgroupKind.DENSE_POSITIVE and c.non_negative:
-            return ActivationFamily(FamilyKind.SEMILINEAR)
-    if c.unit_row:
-        return ActivationFamily(FamilyKind.AFFINE_ONLY)
-    return ActivationFamily(FamilyKind.LINEAR_ONLY)
+    family = _MONOMIAL_FAMILY.get(c.tclass.kind) if c.monomial else None
+    if family is None or (family is FamilyKind.SEMILINEAR and not c.non_negative):
+        return ActivationFamily(_GENERAL_FAMILY[c.unit_row])
+    return ActivationFamily(family, c.tclass.b)
 
 
 def maximal_group_label(f: ActivationFamily, n: int) -> GroupClassification:
@@ -294,22 +300,8 @@ def maximal_group_label(f: ActivationFamily, n: int) -> GroupClassification:
     """
     if n < 1:
         raise ValueError("dimension must be positive")
-    k = f.kind
-    if k is FamilyKind.CONTINUOUS:
-        return GroupClassification(True, True, True, SubgroupClass(SubgroupKind.TRIVIAL))
-    if k is FamilyKind.ODD_CONTINUOUS:
-        return GroupClassification(True, False, False, SubgroupClass(SubgroupKind.PLUS_MINUS_ONE))
-    if k is FamilyKind.SEMILINEAR:
-        return GroupClassification(True, True, False, SubgroupClass(SubgroupKind.DENSE_POSITIVE))
-    if k is FamilyKind.B_MULTIPLICATIVE:
-        return GroupClassification(True, True, False, SubgroupClass(SubgroupKind.POWERS_OF_B, f.b))
-    if k is FamilyKind.PM_B_MULTIPLICATIVE:
-        return GroupClassification(
-            True, False, False, SubgroupClass(SubgroupKind.SIGNED_POWERS_OF_B, f.b)
-        )
-    if k is FamilyKind.AFFINE_ONLY:
-        return GroupClassification(False, False, True, SubgroupClass(SubgroupKind.DENSE))
-    return GroupClassification(False, False, False, SubgroupClass(SubgroupKind.DENSE))
+    monomial, non_negative, unit_row, kind = _PAIRS[f.kind]
+    return GroupClassification(monomial, non_negative, unit_row, SubgroupClass(kind, f.b))
 
 
 def _is_integer_power(outer_b: float, inner_b: float, tol: float) -> bool:

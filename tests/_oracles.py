@@ -124,3 +124,25 @@ def max_entry_growth(generators, steps: int) -> list[float]:
             unique[tuple(np.round(f, 9).ravel())] = f
         frontier = list(unique.values())[:64]
     return growth
+
+
+def bfs_matrix_closure(generators, n: int, cap: int, tol: float):
+    """(elements, complete): breadth-first closure with a list and a FIFO queue.
+
+    The quadratic reference for ``close_group``: start from the identity,
+    right-multiply by each generator in order, and keep a product unless some
+    element found so far is within ``tol`` of it in every entry.
+    """
+    found = [np.eye(n)]
+    queue = [np.eye(n)]
+    while queue:
+        current = queue.pop(0)
+        for g in generators:
+            candidate = current @ g
+            if any(np.abs(e - candidate).max() <= tol for e in found):
+                continue
+            if len(found) >= cap:
+                return found, False
+            found.append(candidate)
+            queue.append(candidate)
+    return found, True

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +360,11 @@ BAD_INPUT_FILES = {
     "b_str": '{"b": "x", "etaPlus": [[1, 1], [2, 2]]}',
     "b_bool": '{"b": true, "etaPlus": [[1, 1], [2, 2]]}',
     "tiny_scalar": '{"name": "x", "dimension": 1, "generators": [[[1e-10]]]}',
+    "scalar_1e-8": '{"name": "x", "dimension": 1, "generators": [[[1e-8]]]}',
+    "swap_1e-8": '{"name": "x", "dimension": 2, "generators": [[[0, 1e-8], [1e8, 0]]]}',
+    "file_tol_1e-6": '{"name": "x", "dimension": 1, "generators": [[[1e-8]]], "tolerance": 1e-6}',
+    "images_ragged": '{"name": "t", "points": 2, "generators": [[0, 1], [0]]}',
+    "images_not_list": '{"name": "t", "points": 2, "generators": [[0, 1], 5]}',
 }
 BASIS = ["basis", "--group", "sym"]
 BASIS_N2 = ["basis", "--n", "2", "--k-in", "1", "--k-out", "1", "--group"]
@@ -390,6 +397,25 @@ BAD_INPUTS = {
     "profile-b-bool": (EXPORT + ["--eta-file", "{b_bool}"], None),
     "classify-tiny-scalar": (["classify", "{tiny_scalar}"], None),
     "normalize-tiny-scalar": (["normalize", "{tiny_scalar}"], None),
+    "classify-scalar-at-flag-tol": (["classify", "{scalar_1e-8}", "--tol", "1e-6"], None),
+    "normalize-scalar-at-flag-tol": (["normalize", "{scalar_1e-8}", "--tol", "1e-6"], None),
+    "classify-swap-at-flag-tol": (["classify", "{swap_1e-8}", "--tol", "1e-6"], None),
+    "normalize-swap-at-flag-tol": (["normalize", "{swap_1e-8}", "--tol", "1e-6"], None),
+    "classify-scalar-at-file-tol": (["classify", "{file_tol_1e-6}"], None),
+    "classify-scalar-at-env-tol": (["classify", "{scalar_1e-8}"], "1e-6"),
+    "action-images-ragged": (BASIS_N2 + ["{images_ragged}"], None),
+    "action-images-not-list": (BASIS_N2 + ["{images_not_list}"], None),
+}
+# the part of the error line that names what was refused
+BAD_INPUT_MESSAGES = {
+    "classify-scalar-at-flag-tol": "generator 0 is not invertible",
+    "normalize-scalar-at-flag-tol": "generator 0 is not invertible",
+    "classify-swap-at-flag-tol": "generator 0 is not invertible",
+    "normalize-swap-at-flag-tol": "generator 0 is not invertible",
+    "classify-scalar-at-file-tol": "generator 0 is not invertible",
+    "classify-scalar-at-env-tol": "generator 0 is not invertible",
+    "action-images-ragged": "generator 1 must list 2 images",
+    "action-images-not-list": "generator 1 must list 2 images",
 }
 
 
@@ -408,6 +434,7 @@ def test_bad_input_exits_2_with_one_line_error(case, tmp_path, monkeypatch, caps
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    assert BAD_INPUT_MESSAGES.get(case, "") in captured.err
 
 
 class TestDimensionLimit:
@@ -428,3 +455,35 @@ class TestGoldenRotationReports:
         result = run_cli("classify", str(spec))
         assert result.returncode == 0
         assert result.stdout == expected
+
+
+class TestToleranceBelowDefault:
+    """Value types hold exact invariants, so a --tol below 1e-9 gets a report."""
+
+    def test_scalar_just_above_one_is_b_multiplicative(self, main_cli, tmp_path):
+        spec = write_spec(tmp_path / "near1.json", "near-one", [[[1.0000000001]]])
+        result = main_cli("classify", str(spec), "--tol", "1e-14")
+        assert result.returncode == 0 and result.stderr == ""
+        family = json.loads(result.stdout)["family"]
+        assert family["kind"] == "BMultiplicative"
+        assert family["b"] == pytest.approx(1.0000000001, rel=1e-15)
+
+    def test_sub_tolerance_shear_is_linear_only(self, main_cli, tmp_path):
+        spec = write_spec(tmp_path / "shear.json", "shear", [[[1, 1e-10], [0, -1]]])
+        result = main_cli("classify", str(spec), "--tol", "1e-12")
+        assert result.returncode == 0 and result.stderr == ""
+        report = json.loads(result.stdout)
+        assert report["classification"]["tclass"] == {"kind": "Dense"}
+        assert report["family"] == {"kind": "LinearOnly"}
+
+
+def test_expanding_generator_report_is_fast_and_warning_free(main_cli):
+    """|det| = 1.88: the group is infinite, so no closure is run before the note."""
+    expected = (GOLDEN / "random4_unbounded_report.json").read_text()
+    start = time.process_time()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = main_cli("classify", str(GOLDEN / "random4_unbounded.json"))
+    assert time.process_time() - start < 1.0
+    assert result.returncode == 0
+    assert result.stdout == expected

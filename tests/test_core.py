@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from conftest import rotation, spec_of
 from equichar import (
     FamilyKind,
@@ -183,6 +184,31 @@ class TestCloseGroup:
         b = close_group(spec_of("s", s_matrix))
         for x, y in zip(a.elements, b.elements):
             np.testing.assert_array_equal(x, y)
+
+
+def _closure_corpus():
+    """Seeded generator lists with caps: conjugated S_k, rational and irrational rotations."""
+    rng = np.random.default_rng(8)
+    corpus = []
+    for k in (2, 3, 4, 5):
+        q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        perms = [np.eye(k)[:, [1, 0, *range(2, k)]], np.eye(k)[:, np.roll(np.arange(k), 1)]]
+        corpus += [([q @ p @ q.T for p in perms], cap) for cap in (7, 200)]
+    for angle in (2 * np.pi / 5, 2 * np.pi / 12, 1.0, rng.uniform(0.5, 2.5)):
+        a = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
+        corpus += [([a @ rotation(angle) @ np.linalg.inv(a)], cap) for cap in (7, 50)]
+    return corpus
+
+
+@pytest.mark.parametrize("case", range(len(_closure_corpus())))
+def test_close_group_matches_reference_bfs(case):
+    gens, cap = _closure_corpus()[case]
+    result = close_group(spec_of("corpus", *gens), cap=cap)
+    elements, complete = _oracles.bfs_matrix_closure(gens, gens[0].shape[0], cap, 1e-9)
+    assert result.complete == complete
+    assert len(result) == len(elements)
+    for got, want in zip(result.elements, elements):
+        np.testing.assert_array_equal(got, want)
 
 
 class TestIsUnitRow:

@@ -195,6 +195,91 @@ class TestMaximalFamily:
         assert maximal_family(c).kind is FamilyKind.LINEAR_ONLY
 
 
+# (monomial, non_negative, subgroup kind) -> maximal family for unit_row False, True
+EXPECTED_FAMILY = {
+    (True, True, "Trivial"): ("Continuous", "Continuous"),
+    (True, False, "Trivial"): ("Continuous", "Continuous"),
+    (True, True, "PlusMinusOne"): ("OddContinuous", "OddContinuous"),
+    (True, False, "PlusMinusOne"): ("OddContinuous", "OddContinuous"),
+    (True, True, "PowersOfB"): ("BMultiplicative", "BMultiplicative"),
+    (True, False, "PowersOfB"): ("BMultiplicative", "BMultiplicative"),
+    (True, True, "SignedPowersOfB"): ("PMBMultiplicative", "PMBMultiplicative"),
+    (True, False, "SignedPowersOfB"): ("PMBMultiplicative", "PMBMultiplicative"),
+    (True, True, "DensePositive"): ("Semilinear", "Semilinear"),
+    (True, False, "DensePositive"): ("LinearOnly", "AffineOnly"),
+    (True, True, "Dense"): ("LinearOnly", "AffineOnly"),
+    (True, False, "Dense"): ("LinearOnly", "AffineOnly"),
+    (False, False, "Trivial"): ("LinearOnly", "AffineOnly"),
+    (False, False, "PlusMinusOne"): ("LinearOnly", "AffineOnly"),
+    (False, False, "PowersOfB"): ("LinearOnly", "AffineOnly"),
+    (False, False, "SignedPowersOfB"): ("LinearOnly", "AffineOnly"),
+    (False, False, "DensePositive"): ("LinearOnly", "AffineOnly"),
+    (False, False, "Dense"): ("LinearOnly", "AffineOnly"),
+}
+# the theorem's table: family -> (monomial, non_negative, unit_row, subgroup kind)
+EXPECTED_GROUP = {
+    "Continuous": (True, True, True, "Trivial"),
+    "OddContinuous": (True, False, False, "PlusMinusOne"),
+    "Semilinear": (True, True, False, "DensePositive"),
+    "BMultiplicative": (True, True, False, "PowersOfB"),
+    "PMBMultiplicative": (True, False, False, "SignedPowersOfB"),
+    "AffineOnly": (False, False, True, "Dense"),
+    "LinearOnly": (False, False, False, "Dense"),
+}
+WITH_BASE = ("PowersOfB", "SignedPowersOfB", "BMultiplicative", "PMBMultiplicative")
+
+
+@pytest.mark.parametrize("key", sorted(EXPECTED_FAMILY), ids=str)
+@pytest.mark.parametrize("unit_row", [False, True])
+def test_maximal_family_table(key, unit_row):
+    monomial, non_negative, kind = key
+    expected = EXPECTED_FAMILY[key][unit_row]
+    for b in (2.0, 3.5):
+        tclass_ = SubgroupClass(SubgroupKind(kind), b if kind in WITH_BASE else None)
+        c = GroupClassification(monomial, non_negative, unit_row, tclass_)
+        family_b = b if expected in WITH_BASE else None
+        assert maximal_family(c) == ActivationFamily(FamilyKind(expected), family_b)
+
+
+@pytest.mark.parametrize("family", sorted(EXPECTED_GROUP))
+def test_maximal_group_label_table(family):
+    b = 2.5 if family in WITH_BASE else None
+    c = maximal_group_label(ActivationFamily(FamilyKind(family), b), 3)
+    monomial, non_negative, unit_row, kind = EXPECTED_GROUP[family]
+    tclass_ = SubgroupClass(SubgroupKind(kind), b)
+    assert c == GroupClassification(monomial, non_negative, unit_row, tclass_)
+
+
+class TestExactInvariants:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda b: SubgroupClass(SubgroupKind.POWERS_OF_B, b),
+            lambda b: SubgroupClass(SubgroupKind.SIGNED_POWERS_OF_B, b),
+            lambda b: ActivationFamily(FamilyKind.B_MULTIPLICATIVE, b),
+            lambda b: ActivationFamily(FamilyKind.PM_B_MULTIPLICATIVE, b),
+        ],
+        ids=["PowersOfB", "SignedPowersOfB", "BMultiplicative", "PMBMultiplicative"],
+    )
+    def test_base_must_exceed_one_exactly(self, make):
+        assert make(1.0 + 1e-12).b == 1.0 + 1e-12
+        for bad in (1.0, 0.5, float("nan"), None):
+            with pytest.raises(ValueError, match="requires a base b > 1"):
+                make(bad)
+
+    def test_generators_refuse_only_exact_zero(self):
+        assert TGenerators((1e-12, -1e-300)).values == (1e-12, -1e-300)
+        with pytest.raises(ValueError, match="nonzero"):
+            TGenerators((2.0, 0.0))
+
+
+def test_contracting_generator_still_closes(rot60):
+    # only log|det| > n*tol skips the closure: the powers of 0.5 * rotation
+    # converge within tol, so the closure stabilizes and adds no note
+    _, notes = classify_group_detailed(spec_of("half-rot60", 0.5 * rot60))
+    assert notes == []
+
+
 class TestMaximalGroupLabel:
     def test_continuous_maps_to_permutations(self):
         c = maximal_group_label(ActivationFamily(FamilyKind.CONTINUOUS), 3)
