@@ -358,10 +358,13 @@ def sample_grid(lo: float, hi: float, count: int, spacing: str = "linear") -> np
 
     Linear grids straddling zero have their point closest to zero replaced by
     an exact 0.0 so exported tables always contain the fixed point f(0) = 0.
-    Log spacing requires 0 < lo < hi.
+    Log spacing requires 0 < lo < hi.  The bounds and their span must be
+    finite, so that every grid point is.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not np.isfinite(hi - lo):
+        raise ValueError(f"grid bounds and their span must be finite, got [{lo!r}, {hi!r}]")
     if not hi > lo:
         raise ValueError("grid needs hi > lo")
     if spacing == "linear":

@@ -2,9 +2,11 @@
 
 All structured output is JSON rendered deterministically (stable key order,
 floats at 17 significant digits), so identical inputs and seeds produce
-byte-identical reports.  Sampled activations are exported as CSV.  Output
-goes to stdout and, when ``--out`` is given, to that file in a single write
-after the command has fully succeeded.
+byte-identical reports.  Sampled activations are exported as CSV.  Command
+handlers return their text and exit code; ``main`` alone writes the text, to
+the ``--out`` file first (one write, after the command has succeeded), then
+to stdout.  A refused input, an unwritable ``--out`` included, gets one
+``error:`` line on stderr and nothing on stdout.
 
 Exit codes: 0 success / verification passed, 1 verification failed, 2 parse
 error, 3 dimension or size limit exceeded, 4 unbounded group (the violating
@@ -19,6 +21,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -102,10 +105,15 @@ def render_report(report: dict) -> str:
     return _render(report, 0) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    sys.stdout.write(text)
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+def _report(args, input: dict, warnings: list[str], **body) -> str:
+    """The rendered report: schema, command and input, then ``body``, then warnings."""
+    return render_report({
+        "schemaVersion": SCHEMA_VERSION,
+        "command": args.command,
+        "input": input,
+        **body,
+        "warnings": warnings,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -116,20 +124,42 @@ def _reject_constant(token: str):
     raise ParseError(f"non-finite number {token!r} is not allowed in input files")
 
 
-def _load_json(path: str):
+def _load_object(path: str) -> dict:
+    """The JSON object in the UTF-8 file ``path``."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    # bad UTF-8, bad JSON, integers past Python's digit limit, too deep a nesting
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return data
 
 
 def _is_int(value) -> bool:
     """True for JSON integers; bool is an int subclass but not one of them."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a finite float; booleans, strings and overflowing integers are refused."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParseError(f"{what} must be a number")
+    if not abs(value) <= sys.float_info.max:  # also NaN, without converting a huge int
+        raise ParseError(f"{what} must be finite, got {value!r:.40}")
+    return float(value)
+
+
+def _rows(value, what: str) -> np.ndarray:
+    """A list of equal-length rows of JSON numbers as a float array."""
+    try:
+        if {int, float}.issuperset(map(type, chain.from_iterable(value))):
+            return np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # not rows, ragged rows, huge integers
+        pass
+    raise ParseError(f"{what} must be a list of equal-length rows of numbers")
 
 
 def _check_tol(tol: float, source: str) -> float:
@@ -140,9 +170,7 @@ def _check_tol(tol: float, source: str) -> float:
 
 def _load_group_spec(path: str, flag_tol: float | None) -> tuple[GroupSpec, float]:
     """The spec in ``path`` and the resolved tolerance, which every generator must clear."""
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected a JSON object")
+    data = _load_object(path)
     name = data.get("name")
     dimension = data.get("dimension")
     generators = data.get("generators")
@@ -154,11 +182,10 @@ def _load_group_spec(path: str, flag_tol: float | None) -> tuple[GroupSpec, floa
         raise ParseError(f"{path}: 'generators' must be a list of matrices")
     file_tol = data.get("tolerance")
     if file_tol is not None:
-        if isinstance(file_tol, bool) or not isinstance(file_tol, (int, float)):
-            raise ParseError(f"{path}: 'tolerance' must be a number")
-        file_tol = _check_tol(float(file_tol), f"{path}: 'tolerance'")
+        file_tol = _check_tol(_number(file_tol, f"{path}: 'tolerance'"), f"{path}: 'tolerance'")
+    mats = tuple(_rows(g, f"{path}: generator {k}") for k, g in enumerate(generators))
     try:
-        spec = GroupSpec(name, dimension, tuple(np.asarray(g, dtype=float) for g in generators))
+        spec = GroupSpec(name, dimension, mats)
         tol = _resolve_tol(flag_tol, file_tol)
         if tol > DEFAULT_TOL:  # GroupSpec has checked up to DEFAULT_TOL
             for k, g in enumerate(spec.generators):
@@ -186,27 +213,29 @@ def _resolve_tol(flag_tol: float | None, file_tol: float | None) -> float:
 def _load_eta_activation(
     path: str, b_flag: float | None, signed_flag: bool, tol: float
 ) -> Activation:
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected a JSON object")
+    if b_flag is not None:
+        b_flag = _number(b_flag, "--b")
+    data = _load_object(path)
     b = data.get("b", b_flag)
     if b is None:
         raise ParseError(f"{path}: base 'b' missing (provide it in the file or via --b)")
-    if isinstance(b, bool) or not isinstance(b, (int, float)):
-        raise ParseError(f"{path}: base 'b' must be a number")
-    b = float(b)
+    b = _number(b, f"{path}: base 'b'")
     if b_flag is not None and "b" in data and abs(b - b_flag) > tol:
         raise ParseError(f"{path}: file base b={data['b']} conflicts with --b {b_flag}")
-    signed = bool(data.get("signed", False)) or signed_flag
+    signed = data.get("signed", False)
+    if not isinstance(signed, bool):
+        raise ParseError(f"{path}: 'signed' must be true or false")
+    signed = signed or signed_flag
     if "etaPlus" not in data:
         raise ParseError(f"{path}: 'etaPlus' samples missing")
     try:
-        eta_plus = EtaProfile.from_samples(b, data["etaPlus"], tol)
+        eta_plus = EtaProfile.from_samples(b, _rows(data["etaPlus"], f"{path}: 'etaPlus'"), tol)
         eta_minus = None
         if "etaMinus" in data:
             if signed:
                 raise ParseError(f"{path}: signed profiles must not carry 'etaMinus'")
-            eta_minus = EtaProfile.from_samples(b, data["etaMinus"], tol)
+            samples = _rows(data["etaMinus"], f"{path}: 'etaMinus'")
+            eta_minus = EtaProfile.from_samples(b, samples, tol)
         return build_eta_activation(b, eta_plus, eta_minus, signed, tol)
     except EndpointViolationError:
         raise
@@ -214,18 +243,29 @@ def _load_eta_activation(
         raise ParseError(f"{path}: {exc}") from exc
 
 
+_ACTIVATIONS = {"relu": relu, "tanh": tanh, "identity": identity}
+
+
 def _builtin_activation(token: str, tol: float) -> Activation:
-    if token == "relu":
-        return relu()
-    if token == "tanh":
-        return tanh()
-    if token == "identity":
-        return identity()
     if token.startswith("eta:"):
         return _load_eta_activation(token[4:], None, False, tol)
-    raise ParseError(
-        f"unknown activation {token!r}; expected relu, tanh, identity, or eta:<profile-file>"
-    )
+    if token not in _ACTIVATIONS:
+        raise ParseError(f"unknown activation {token!r}; expected relu, tanh, identity, eta:FILE")
+    return _ACTIVATIONS[token]()
+
+
+def _load_action(path: str, n: int) -> PermAction:
+    data = _load_object(path)
+    points = data.get("points")
+    generators = data.get("generators")
+    if not _is_int(points) or points != n:
+        raise ParseError(f"{path}: 'points' must equal --n ({n})")
+    if not isinstance(generators, list):
+        raise ParseError(f"{path}: 'generators' must be a list of 0-based image lists")
+    try:
+        return PermAction(n, generators)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -249,50 +289,38 @@ def _classification_dict(c) -> dict:
     }
 
 
-def _spec_input_dict(spec: GroupSpec, tol: float) -> dict:
+def _spec_input_dict(spec: GroupSpec, tol: float, **extra) -> dict:
     return {
         "name": spec.name,
         "dimension": spec.n,
-        "generators": [g.tolist() for g in spec.generators],
+        "generators": spec.generators,
         "tolerance": tol,
+        **extra,
     }
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each returns (text, exit code) and writes nothing
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[str, int]:
     spec, tol = _load_group_spec(args.spec, args.tol)
-    classification, notes = classify_group_detailed(spec, tol)
-    family = maximal_family(classification)
-    warnings = list(notes)
+    classification, warnings = classify_group_detailed(spec, tol)
     if classification.tclass.kind in (SubgroupKind.DENSE, SubgroupKind.DENSE_POSITIVE):
         warnings.append(DENSITY_WARNING)
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "classify",
-        "input": _spec_input_dict(spec, tol),
-        "classification": _classification_dict(classification),
-        "family": _kind_dict(family),
-        "warnings": warnings,
-    }
-    _emit(render_report(report), args.out)
-    return 0
+    body = _classification_dict(classification)
+    family = _kind_dict(maximal_family(classification))
+    text = _report(args, _spec_input_dict(spec, tol), warnings, classification=body, family=family)
+    return text, 0
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args) -> tuple[str, int]:
     spec, tol = _load_group_spec(args.spec, args.tol)
-    base = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "normalize",
-        "input": _spec_input_dict(spec, tol),
-    }
+    input = _spec_input_dict(spec, tol)
     try:
         scaling = signed_normalize(spec, tol)
     except UnboundedGroupError as exc:
-        report = dict(base)
-        report["unboundedCycle"] = {
+        cycle = {
             "description": exc.description,
             "generator": exc.generator + 1,
             "source": exc.source + 1,
@@ -300,67 +328,36 @@ def _cmd_normalize(args) -> int:
             "logWeight": exc.log_weight,
             "mismatch": exc.mismatch,
         }
-        report["warnings"] = [SIGN_STRUCTURE_NOTE]
-        _emit(render_report(report), args.out)
-        return 4
-    report = dict(base)
-    report["scaling"] = {
-        "d": scaling.d.tolist(),
-        "normalizedGenerators": [g.tolist() for g in scaling.normalized_generators],
-    }
-    report["warnings"] = [SIGN_STRUCTURE_NOTE]
-    _emit(render_report(report), args.out)
-    return 0
+        return _report(args, input, [SIGN_STRUCTURE_NOTE], unboundedCycle=cycle), 4
+    body = {"d": scaling.d, "normalizedGenerators": scaling.normalized_generators}
+    return _report(args, input, [SIGN_STRUCTURE_NOTE], scaling=body), 0
 
 
-def _load_action(path: str, n: int) -> PermAction:
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    points = data.get("points")
-    generators = data.get("generators")
-    if not _is_int(points) or points != n:
-        raise ParseError(f"{path}: 'points' must equal --n ({n})")
-    if not isinstance(generators, list):
-        raise ParseError(f"{path}: 'generators' must be a list of 0-based image lists")
-    try:
-        return PermAction(n, generators)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+_GROUPS = {"sym": symmetric_action_generators, "cyclic": cyclic_action_generators}
 
 
-def _cmd_basis(args) -> int:
+def _cmd_basis(args) -> tuple[str, int]:
     if min(args.n, args.k_in, args.k_out) < 1:
         raise ParseError("--n, --k-in and --k-out must be at least 1")
-    if args.group == "sym":
-        base = PermAction(args.n, symmetric_action_generators(args.n))
-    elif args.group == "cyclic":
-        base = PermAction(args.n, cyclic_action_generators(args.n))
-    else:
-        base = _load_action(args.group, args.n)
+    images = _GROUPS.get(args.group)
+    base = PermAction(args.n, images(args.n)) if images else _load_action(args.group, args.n)
     a_in = tensor_action(args.n, args.k_in, base)
     a_out = tensor_action(args.n, args.k_out, base)
     basis = equivariant_basis(a_in, a_out)
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "basis",
-        "input": {"n": args.n, "kIn": args.k_in, "kOut": args.k_out, "group": args.group},
-        "basis": {
-            "dimIn": basis.dim_in,
-            "dimOut": basis.dim_out,
-            "count": len(basis),
-            "elements": basis.sparse_coordinates(),
-        },
-        "warnings": [],
-    }
-    _emit(render_report(report), args.out)
-    return 0
+    input = {"n": args.n, "kIn": args.k_in, "kOut": args.k_out, "group": args.group}
+    body = {"dimIn": basis.dim_in, "dimOut": basis.dim_out, "count": len(basis)}
+    body["elements"] = basis.sparse_coordinates()
+    return _report(args, input, [], basis=body), 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     if args.trials < 1:
         raise ParseError("--trials must be at least 1")
+    if args.seed < 0:
+        raise ParseError(f"--seed must be non-negative, got {args.seed}")
     spec, tol = _load_group_spec(args.spec, args.tol)
+    if not spec.generators:
+        raise ParseError(f"{args.spec}: verify needs at least one generator")
     activation = _builtin_activation(args.activation, tol)
     result = verify_pointwise_equivariance(
         activation, spec.generators, trials=args.trials, tol=tol, seed=args.seed
@@ -375,34 +372,23 @@ def _cmd_verify(args) -> int:
         verification["counterexample"] = {
             "trial": ce.trial,
             "generator": ce.generator + 1,
-            "x": ce.x.tolist(),
+            "x": ce.x,
             "residual": ce.residual,
         }
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "verify",
-        "input": {
-            **_spec_input_dict(spec, tol),
-            "activation": activation.name,
-            "trials": args.trials,
-            "seed": args.seed,
-        },
-        "verification": verification,
-        "warnings": [],
-    }
-    _emit(render_report(report), args.out)
-    return 0 if result.passed else 1
+    input = _spec_input_dict(
+        spec, tol, activation=activation.name, trials=args.trials, seed=args.seed
+    )
+    return _report(args, input, [], verification=verification), 0 if result.passed else 1
 
 
-def _cmd_export_activation(args) -> int:
+def _cmd_export_activation(args) -> tuple[str, int]:
     tol = _resolve_tol(args.tol, None)
     activation = _load_eta_activation(args.eta_file, args.b, args.signed, tol)
     try:
         grid = sample_grid(args.grid_min, args.grid_max, args.grid_count, args.grid_spacing)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    _emit(export_activation_csv(activation, grid), args.out)
-    return 0
+    return export_activation_csv(activation, grid), 0
 
 
 # ---------------------------------------------------------------------------
@@ -419,58 +405,42 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # shared arguments: every command takes --out, all but basis --tol, and
+    # classify, normalize and verify a spec file
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    tol = argparse.ArgumentParser(add_help=False, parents=[out])
+    tol.add_argument("--tol", type=float, default=None)
+    spec = argparse.ArgumentParser(add_help=False, parents=[tol])
+    spec.add_argument("spec", help="group spec JSON file")
 
-    p = sub.add_parser("classify", help="classify a generated matrix group")
-    p.add_argument("spec", help="group spec JSON file")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_classify)
+    def command(name, handler, parent, help):
+        p = sub.add_parser(name, parents=[parent], help=help)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("normalize", help="rescale a monomial group to signed permutations")
-    p.add_argument("spec", help="group spec JSON file")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_normalize)
+    command("classify", _cmd_classify, spec, "classify a generated matrix group")
+    command("normalize", _cmd_normalize, spec, "rescale a monomial group to signed permutations")
 
-    p = sub.add_parser("basis", help="equivariant layer basis between tensor-power actions")
+    p = command("basis", _cmd_basis, out, "equivariant layer basis between tensor-power actions")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k-in", dest="k_in", type=int, required=True)
-    p.add_argument("--k-out", dest="k_out", type=int, required=True)
-    p.add_argument(
-        "--group",
-        required=True,
-        help="'sym', 'cyclic', or a JSON action file with 0-based generators",
-    )
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_basis)
+    p.add_argument("--k-in", type=int, required=True)
+    p.add_argument("--k-out", type=int, required=True)
+    p.add_argument("--group", required=True, help="sym, cyclic, or a JSON action file")
 
-    p = sub.add_parser("verify", help="check point-wise equivariance on random vectors")
-    p.add_argument("spec", help="group spec JSON file")
-    p.add_argument(
-        "--activation",
-        required=True,
-        help="relu, tanh, identity, or eta:<profile-file>",
-    )
+    p = command("verify", _cmd_verify, spec, "check point-wise equivariance on random vectors")
+    p.add_argument("--activation", required=True, help="relu, tanh, identity, or eta:<file>")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("export-activation", help="sample a profile-built activation to CSV")
+    p = command("export-activation", _cmd_export_activation, tol, "sample an activation to CSV")
     p.add_argument("--b", type=float, default=None)
-    p.add_argument("--eta-file", dest="eta_file", required=True)
+    p.add_argument("--eta-file", required=True)
     p.add_argument("--signed", action="store_true")
-    p.add_argument("--grid-min", dest="grid_min", type=float, required=True)
-    p.add_argument("--grid-max", dest="grid_max", type=float, required=True)
-    p.add_argument("--grid-count", dest="grid_count", type=int, required=True)
-    p.add_argument(
-        "--grid-spacing", dest="grid_spacing", choices=("linear", "log"), default="linear"
-    )
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_export_activation)
-
+    p.add_argument("--grid-min", type=float, required=True)
+    p.add_argument("--grid-max", type=float, required=True)
+    p.add_argument("--grid-count", type=int, required=True)
+    p.add_argument("--grid-spacing", choices=("linear", "log"), default="linear")
     return parser
 
 
@@ -487,10 +457,17 @@ _EXIT_CODES = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        text, code = args.handler(args)
+        if args.out:
+            try:
+                Path(args.out).write_text(text, encoding="utf-8")
+            except OSError as exc:
+                raise ParseError(f"cannot write {args.out}: {exc}") from exc
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -84,8 +84,9 @@ class GroupSpec:
 
     Generators must be square of dimension ``n`` with smallest singular value
     above ``DEFAULT_TOL``; for a monomial matrix that is its least coefficient
-    magnitude, so the test agrees with ``monomial_decompose``.  An empty
-    generator list denotes the trivial group.
+    magnitude, so the test agrees with ``monomial_decompose``.  Each row's
+    magnitudes must sum inside the float range, so every row subset sum is
+    finite.  An empty generator list denotes the trivial group.
     """
 
     name: str
@@ -102,6 +103,9 @@ class GroupSpec:
                 raise ShapeMismatchError(
                     f"generator {k} has dimension {a.shape[0]}, expected {self.n}"
                 )
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.abs(a).sum(axis=1)).all():
+                    raise ValueError(f"generator {k} has a row summing past the float range")
             check_invertible(k, a, DEFAULT_TOL)
             mats.append(a)
         self.generators = tuple(mats)

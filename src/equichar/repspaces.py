@@ -43,6 +43,9 @@ def _image_row(k: int, images, size: int) -> np.ndarray:
         raise ValueError(f"generator {k} must list {size} images")
     if not np.issubdtype(row.dtype, np.integer):
         raise ValueError(f"generator {k} images must be integers, got {row.dtype}")
+    # numpy reads [True, 0] as integers, so a list is searched for booleans itself
+    if not isinstance(images, np.ndarray) and bool in map(type, images):
+        raise ValueError(f"generator {k} images must be integers, got a boolean")
     return row
 
 

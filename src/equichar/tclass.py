@@ -12,6 +12,7 @@ and composing the two stabilizes at the label level.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -192,14 +193,15 @@ def classify_subgroup(
     The GCD must clear a floor of ``1000 * tol`` to count as discrete: a
     Euclidean chain on incommensurate logs bottoms out at tolerance scale,
     where any value passes the integer-multiple check vacuously (quotients of
-    order 1/tol), so a result that close to the floor certifies nothing.
+    order 1/tol), so a result that close to the floor certifies nothing.  The
+    floor never drops below ``1000 * eps``, so that ``exp(g)`` stays above 1.
     """
     has_negative = any(v < 0 for v in gens.values)
     logs = [abs(math.log(abs(v))) for v in gens.values if abs(abs(v) - 1.0) > tol]
     if not logs:
         kind = SubgroupKind.PLUS_MINUS_ONE if has_negative else SubgroupKind.TRIVIAL
         return SubgroupClass(kind)
-    floor = 1000.0 * tol
+    floor = 1000.0 * max(tol, sys.float_info.epsilon)
     g = logs[0]
     for x in logs[1:]:
         g = _real_gcd(g, x, tol, max_iter)
@@ -247,10 +249,14 @@ def classify_group_detailed(
                 f"subset-sum limit of {MAX_SUBSET_DIM}"
             )
         non_negative = False
-        # Every element of a finite group has |det| = 1.  A generator with
-        # log|det| > n*tol has an eigenvalue of modulus above 1, so its
-        # powers grow without bound and the closure can only hit the cap.
-        finite = all(np.linalg.slogdet(g)[1] <= spec.n * tol for g in spec.generators)
+        # Every element of a finite group has its eigenvalues on the unit
+        # circle.  Off it (|log|lambda|| > n*tol), a generator's powers grow
+        # or shrink without bound: the closure would run to the cap, or
+        # converge within tol and stop early at a wrong "finite" group.
+        finite = all(
+            np.abs(np.log(np.abs(np.linalg.eigvals(g)))).max() <= spec.n * tol
+            for g in spec.generators
+        )
         if finite and (closure := close_group(spec, cap, tol)).complete:
             mats = closure.elements
         else:

@@ -244,6 +244,11 @@ class TestGridAndExport:
         assert 0.0 in grid.tolist()
         assert len(grid) == 10
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, np.inf), (-np.inf, 1.0), (-1e308, 1e308)])
+    def test_grid_refuses_non_finite_bounds_or_span(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            sample_grid(lo, hi, 3)
+
     def test_log_grid_requires_positive_bounds(self):
         with pytest.raises(ValueError):
             sample_grid(-1.0, 1.0, 5, spacing="log")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from equichar import cli
 
@@ -347,6 +351,7 @@ class TestParseErrors:
 
 
 P3 = "[[[0, 0, 1], [1, 0, 0], [0, 1, 0]]]"
+HUGE_INT = "1" + "0" * 400  # past the float range
 BAD_INPUT_FILES = {
     "spec": '{"name": "p", "dimension": 3, "generators": %s}' % P3,
     "tol_zero": '{"name": "p", "dimension": 3, "generators": %s, "tolerance": 0}' % P3,
@@ -365,6 +370,22 @@ BAD_INPUT_FILES = {
     "file_tol_1e-6": '{"name": "x", "dimension": 1, "generators": [[[1e-8]]], "tolerance": 1e-6}',
     "images_ragged": '{"name": "t", "points": 2, "generators": [[0, 1], [0]]}',
     "images_not_list": '{"name": "t", "points": 2, "generators": [[0, 1], 5]}',
+    "images_bool_int": '{"name": "t", "points": 2, "generators": [[true, 0]]}',
+    "profile": '{"b": 2.0, "etaPlus": [[1, 1], [2, 2]]}',
+    "signed_str": '{"b": 2.0, "etaPlus": [[1, 1], [2, 2]], "signed": "false"}',
+    "samples_object": '{"b": 2.0, "etaPlus": {"x": 1}}',
+    "b_huge_int": '{"b": %s, "etaPlus": [[1, 1], [2, 2]]}' % HUGE_INT,
+    "gen_ragged": '{"name": "x", "dimension": 2, "generators": [[[1, 0], [0]]]}',
+    "gen_object": '{"name": "x", "dimension": 1, "generators": [[[{}]]]}',
+    "gen_bool": '{"name": "x", "dimension": 1, "generators": [[[true]]]}',
+    "gen_str": '{"name": "x", "dimension": 1, "generators": [[["2"]]]}',
+    "gen_huge_int": '{"name": "x", "dimension": 1, "generators": [[[%s]]]}' % HUGE_INT,
+    "gen_row_overflow": '{"name": "x", "dimension": 2, "generators": [[[1e308, 1e308], [0, 1]]]}',
+    "no_generators": '{"name": "x", "dimension": 2, "generators": []}',
+    "tol_huge_int": '{"name": "x", "dimension": 1, "generators": [], "tolerance": %s}' % HUGE_INT,
+    "int_5000_digits": '{"name": "x", "dimension": 1%s, "generators": []}' % ("0" * 5000),
+    "deep_nesting": "[" * 100_000 + "]" * 100_000,
+    "latin1_name": '{"name": "caf\xe9", "dimension": 1, "generators": []}',  # written as Latin-1
 }
 BASIS = ["basis", "--group", "sym"]
 BASIS_N2 = ["basis", "--n", "2", "--k-in", "1", "--k-out", "1", "--group"]
@@ -405,6 +426,29 @@ BAD_INPUTS = {
     "classify-scalar-at-env-tol": (["classify", "{scalar_1e-8}"], "1e-6"),
     "action-images-ragged": (BASIS_N2 + ["{images_ragged}"], None),
     "action-images-not-list": (BASIS_N2 + ["{images_not_list}"], None),
+    "action-images-bool-int": (BASIS_N2 + ["{images_bool_int}"], None),
+    "out-unwritable": (["classify", "{spec}", "--out", "{spec}/report.json"], None),
+    "file-not-utf8": (["classify", "{latin1_name}"], None),
+    "verify-seed-negative": (["verify", "{spec}", "--activation", "relu", "--seed", "-1"], None),
+    "verify-no-generators": (["verify", "{no_generators}", "--activation", "relu"], None),
+    "export-grid-max-inf": (
+        ["export-activation", "--eta-file", "{profile}"]
+        + ["--grid-min", "1", "--grid-max", "inf", "--grid-count", "3"],
+        None,
+    ),
+    "export-b-flag-nan": (EXPORT + ["--eta-file", "{profile}", "--b", "nan"], None),
+    "profile-signed-str": (EXPORT + ["--eta-file", "{signed_str}"], None),
+    "profile-samples-object": (EXPORT + ["--eta-file", "{samples_object}"], None),
+    "profile-b-huge-int": (EXPORT + ["--eta-file", "{b_huge_int}"], None),
+    "spec-generator-ragged": (["classify", "{gen_ragged}"], None),
+    "spec-generator-object": (["normalize", "{gen_object}"], None),
+    "spec-generator-bool": (["classify", "{gen_bool}"], None),
+    "spec-generator-str": (["classify", "{gen_str}"], None),
+    "spec-generator-huge-int": (["classify", "{gen_huge_int}"], None),
+    "spec-generator-row-overflow": (["classify", "{gen_row_overflow}"], None),
+    "file-tol-huge-int": (["classify", "{tol_huge_int}"], None),
+    "file-int-5000-digits": (["classify", "{int_5000_digits}"], None),
+    "file-deep-nesting": (["classify", "{deep_nesting}"], None),
 }
 # the part of the error line that names what was refused
 BAD_INPUT_MESSAGES = {
@@ -416,6 +460,14 @@ BAD_INPUT_MESSAGES = {
     "classify-scalar-at-env-tol": "generator 0 is not invertible",
     "action-images-ragged": "generator 1 must list 2 images",
     "action-images-not-list": "generator 1 must list 2 images",
+    "action-images-bool-int": "generator 0 images must be integers",
+    "out-unwritable": "cannot write",
+    "verify-seed-negative": "--seed",
+    "export-grid-max-inf": "finite",
+    "export-b-flag-nan": "--b must be finite",
+    "profile-signed-str": "'signed' must be true or false",
+    "spec-generator-ragged": "generator 0 must be a list of equal-length rows of numbers",
+    "spec-generator-row-overflow": "generator 0 has a row summing past the float range",
 }
 
 
@@ -424,7 +476,7 @@ def test_bad_input_exits_2_with_one_line_error(case, tmp_path, monkeypatch, caps
     paths = {}
     for stem, text in BAD_INPUT_FILES.items():
         paths[stem] = tmp_path / f"{stem}.json"
-        paths[stem].write_text(text)
+        paths[stem].write_text(text, encoding="latin-1")
     argv, env_tol = BAD_INPUTS[case]
     monkeypatch.delenv("EQUICHAR_TOL", raising=False)
     if env_tol is not None:
@@ -468,6 +520,14 @@ class TestToleranceBelowDefault:
         assert family["kind"] == "BMultiplicative"
         assert family["b"] == pytest.approx(1.0000000001, rel=1e-15)
 
+    def test_tolerance_below_machine_epsilon_gets_a_report(self, main_cli, tmp_path):
+        # |log v| = 1.1e-16 is no base: exp of it rounds to 1
+        spec = write_spec(tmp_path / "below1.json", "below-one", [[[0.9999999999999999]]])
+        result = main_cli("classify", str(spec), "--tol", "1e-20")
+        assert result.returncode == 0 and result.stderr == ""
+        report = json.loads(result.stdout)
+        assert report["classification"]["tclass"] == {"kind": "DensePositive"}
+
     def test_sub_tolerance_shear_is_linear_only(self, main_cli, tmp_path):
         spec = write_spec(tmp_path / "shear.json", "shear", [[[1, 1e-10], [0, -1]]])
         result = main_cli("classify", str(spec), "--tol", "1e-12")
@@ -487,3 +547,133 @@ def test_expanding_generator_report_is_fast_and_warning_free(main_cli):
     assert time.process_time() - start < 1.0
     assert result.returncode == 0
     assert result.stdout == expected
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: structural mutations of small valid input files, and bad flags
+
+FUZZ_FILES = {
+    "spec": {"name": "p3", "dimension": 3, "generators": json.loads(P3), "tolerance": 1e-9},
+    "scaled": {"name": "z2", "dimension": 2, "generators": [[[0, 2], [0.5, 0]]]},
+    "profile": {"b": 2, "etaPlus": [[1, 1], [1.5, 1.2], [2, 2]], "etaMinus": [[1, 1], [2, 2]]},
+    "signed": {"b": 2.0, "etaPlus": [[1, 1], [2, 2]], "signed": True},
+    "action": {"name": "s3", "points": 3, "generators": [[1, 2, 0], [1, 0, 2]]},
+}
+# A number is replaced only by a value that keeps a generator monomial or makes
+# it singular or huge: a small one such as -1 can make a non-monomial generator
+# of infinite order, whose closure runs to the 10,000-element cap for seconds.
+ODD_VALUES = [None, True, False, 0, 1e308, -1e308, 10**400, "", "1", [], [[]], {}, {"a": 1}]
+EXTRA_KEYS = ["name", "dimension", "generators", "tolerance", "b", "signed", "etaMinus", "x"]
+
+
+@st.composite
+def mutated(draw, value):
+    """``value`` with one structural change at some depth."""
+    keys = list(value) if isinstance(value, dict) else []
+    if isinstance(value, list):
+        keys = list(range(len(value)))
+    if keys and draw(st.booleans()):
+        key = draw(st.sampled_from(keys))
+        copy = dict(value) if isinstance(value, dict) else list(value)
+        copy[key] = draw(mutated(value[key]))
+        return copy
+    how = draw(st.sampled_from(["replace", "nest", "drop", "extend"]))
+    odd = draw(st.sampled_from(ODD_VALUES))
+    if how == "nest":
+        return [value]
+    if how == "drop" and keys:
+        key = draw(st.sampled_from(keys))
+        if isinstance(value, dict):
+            return {k: v for k, v in value.items() if k != key}
+        return value[:key] + value[key + 1 :]  # a ragged row, or one generator fewer
+    if how == "extend" and isinstance(value, dict):
+        return {**value, draw(st.sampled_from(EXTRA_KEYS)): odd}
+    if how == "extend" and isinstance(value, list):
+        return [*value, odd]
+    return odd
+
+
+def _flag(name, values):
+    """No ``--name``, or ``--name=value`` (so that values such as -inf parse)."""
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [f"--{name}={v}"]))
+
+
+TOL = _flag("tol", ["nan", "inf", "0", "-1", "1e-20", "1e-3"])
+SPEC = st.sampled_from([["{spec}"], ["{scaled}"]])
+ACTIVATIONS = ["relu", "tanh", "identity", "gelu", "eta:{profile}", "eta:{signed}", "eta:{none}"]
+GRID = ["nan", "inf", "-inf", "-2", "0", "1", "2", "1e308", "-1e308"]
+COMMANDS = st.one_of(
+    st.tuples(st.sampled_from([["classify"], ["normalize"]]), SPEC, TOL),
+    st.tuples(
+        st.just(["verify"]),
+        SPEC,
+        _flag("activation", ACTIVATIONS),
+        _flag("trials", ["0", "1", "2"]),
+        _flag("seed", ["-1", "0", "5"]),
+        TOL,
+    ),
+    st.tuples(
+        st.just(["export-activation"]),
+        st.sampled_from([["--eta-file={profile}"], ["--eta-file={signed}"]]),
+        _flag("grid-min", GRID),
+        _flag("grid-max", GRID),
+        _flag("grid-count", ["0", "1", "3"]),
+        _flag("grid-spacing", ["linear", "log"]),
+        _flag("b", ["nan", "inf", "2", "3"]),
+        st.sampled_from([[], ["--signed"]]),
+        TOL,
+    ),
+    st.tuples(
+        st.just(["basis"]),
+        _flag("n", ["-1", "0", "1", "2", "3"]),
+        _flag("k-in", ["0", "1", "2"]),
+        _flag("k-out", ["0", "1", "2"]),
+        _flag("group", ["sym", "cyclic", "{action}", "{spec}"]),
+    ),
+)
+# the flags a command cannot run without, added when the draw left them out
+REQUIRED = {
+    "verify": ["--activation=relu"],
+    "export-activation": ["--grid-min=1", "--grid-max=2", "--grid-count=3"],
+    "basis": ["--n=3", "--k-in=1", "--k-out=1", "--group=sym"],
+}
+FUZZ_FILE_STRATEGY = st.fixed_dictionaries(
+    {
+        stem: st.one_of(st.just(v), mutated(v), mutated(v).flatmap(mutated))
+        for stem, v in FUZZ_FILES.items()
+    }
+)
+
+
+@settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    files=FUZZ_FILE_STRATEGY,
+    parts=COMMANDS,
+    out=st.sampled_from([[], ["--out={dir}/report"], ["--out={spec}/report"]]),
+)
+def test_fuzzed_inputs_get_a_report_or_one_error_line(files, parts, out, tmp_path):
+    paths = {"dir": str(tmp_path), "none": str(tmp_path / "missing.json")}
+    for stem, data in files.items():
+        paths[stem] = str(tmp_path / f"{stem}.json")
+        Path(paths[stem]).write_text(json.dumps(data))
+    report_file = tmp_path / "report"
+    report_file.unlink(missing_ok=True)
+    argv = [arg for part in parts for arg in part] + out
+    given_flags = {arg.split("=")[0] for arg in argv}
+    argv += [f for f in REQUIRED.get(argv[0], []) if f.split("=")[0] not in given_flags]
+    argv = [arg.format(**paths) for arg in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert code in range(7), argv
+    if code in (2, 3, 5, 6):
+        assert stdout.getvalue() == "", argv
+        assert stderr.getvalue().startswith("error: "), argv
+        assert stderr.getvalue().count("\n") == 1, argv
+        assert not report_file.exists()
+    else:  # a report: 0 or 1 from verify, or 4 with the cycle that blocks a rescaling
+        assert stdout.getvalue() and stderr.getvalue() == "", argv
+        if out == ["--out={dir}/report"]:
+            assert report_file.read_text() == stdout.getvalue()

@@ -113,6 +113,11 @@ class TestGroupSpec:
         assert family.kind == FamilyKind.B_MULTIPLICATIVE
         assert family.b == pytest.approx(1e5)
 
+    def test_rejects_row_sums_past_the_float_range(self):
+        # its row subset sums would be inf, and their logs break the real GCD
+        with pytest.raises(ValueError, match="float range"):
+            GroupSpec("huge", 2, (np.array([[1e308, 1e308], [0.0, 1.0]]),))
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             GroupSpec("bad", 2, (np.array([[np.nan, 0.0], [0.0, 1.0]]),))

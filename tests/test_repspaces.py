@@ -44,8 +44,15 @@ class TestPermAction:
 
     @pytest.mark.parametrize(
         "generators",
-        [((True, False),), ((1.0, 0.0),), ((1, 0), (0,)), ((0, 1, 2),), (("1", "0"),)],
-        ids=["bool", "float", "ragged", "too-long", "str"],
+        [
+            ((True, False),),
+            ((True, 0),),
+            ((1.0, 0.0),),
+            ((1, 0), (0,)),
+            ((0, 1, 2),),
+            (("1", "0"),),
+        ],
+        ids=["bool", "bool-int", "float", "ragged", "too-long", "str"],
     )
     def test_rejects_non_integer_or_misshapen_images(self, generators):
         with pytest.raises(ValueError):

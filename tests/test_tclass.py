@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from conftest import spec_of
+from conftest import rotation, spec_of
 from equichar import (
     ActivationFamily,
     DimensionTooLargeError,
@@ -21,6 +21,7 @@ from equichar import (
     maximal_family,
     maximal_group_label,
     subset_sum_generators,
+    tclass,
 )
 
 ALL_LABELS = (
@@ -91,6 +92,11 @@ class TestClassifySubgroup:
 
     def test_dense_with_negatives(self):
         assert classify_subgroup(TGenerators((-2.0, 3.0))).kind is SubgroupKind.DENSE
+
+    def test_gcd_floor_holds_below_machine_epsilon(self):
+        # g = 1.1e-16 clears 1000 * 1e-20 but exp(g) == 1.0: no base can be named
+        got = classify_subgroup(TGenerators((0.9999999999999999,)), tol=1e-20)
+        assert got.kind is SubgroupKind.DENSE_POSITIVE
 
     def test_iteration_budget_exhaustion_falls_back_to_dense(self):
         got = classify_subgroup(TGenerators((2.0, 3.0)), max_iter=1)
@@ -273,11 +279,21 @@ class TestExactInvariants:
             TGenerators((2.0, 0.0))
 
 
-def test_contracting_generator_still_closes(rot60):
-    # only log|det| > n*tol skips the closure: the powers of 0.5 * rotation
-    # converge within tol, so the closure stabilizes and adds no note
-    _, notes = classify_group_detailed(spec_of("half-rot60", 0.5 * rot60))
-    assert notes == []
+_SKEW = np.array([[1.0, 0.3], [0.2, 1.0]])
+OFF_UNIT_CIRCLE = {
+    # powers converge to 0 within tol, so a closure would stop at a "finite" group
+    "half-rot60": 0.5 * rotation(np.pi / 3),
+    "half-rot1": 0.5 * rotation(1.0),
+    # det 0.45 but eigenvalue 1.5: a closure would run to the cap and overflow
+    "mixed": _SKEW @ np.diag([1.5, 0.3]) @ np.linalg.inv(_SKEW),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_UNIT_CIRCLE))
+def test_generator_off_unit_circle_gets_note_without_closure(name, monkeypatch):
+    monkeypatch.setattr(tclass, "close_group", lambda *a: pytest.fail("closure was run"))
+    _, notes = classify_group_detailed(spec_of(name, OFF_UNIT_CIRCLE[name]))
+    assert len(notes) == 1 and "generators only" in notes[0]
 
 
 class TestMaximalGroupLabel:
