@@ -144,7 +144,7 @@ def _is_int(value) -> bool:
 
 
 def _number(value, what: str) -> float:
-    """A JSON number as a finite float; booleans, strings and overflowing integers are refused."""
+    """A JSON number as a float: booleans, strings, infinities and huge integers are refused."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(f"{what} must be a number")
     if not abs(value) <= sys.float_info.max:  # also NaN, without converting a huge int
