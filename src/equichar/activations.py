@@ -342,14 +342,17 @@ def verify_pointwise_equivariance(
         raise ValueError("all matrices must share one dimension")
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for t in range(trials):
-        x = _nonzero_uniform(rng, n)
-        fx = f(x)
-        for gi, m in enumerate(matrices):
-            residual = float(np.abs(f(m @ x) - m @ fx).max())
-            worst = max(worst, residual)
-            if residual > tol:
-                return EquivarianceReport(False, trials, worst, Counterexample(t, gi, x, residual))
+    # an overflow makes a residual inf or NaN: no warning, and the check fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(trials):
+            x = _nonzero_uniform(rng, n)
+            fx = f(x)
+            for gi, m in enumerate(matrices):
+                residual = float(np.abs(f(m @ x) - m @ fx).max())
+                worst = max(residual, worst)  # residual first, so that NaN is kept
+                if not residual <= tol:
+                    ce = Counterexample(t, gi, x, residual)
+                    return EquivarianceReport(False, trials, worst, ce)
     return EquivarianceReport(True, trials, worst, None)
 
 

@@ -1,12 +1,13 @@
 """Command-line surface: classification, normalization, bases, verification, export.
 
 All structured output is JSON rendered deterministically (stable key order,
-floats at 17 significant digits), so identical inputs and seeds produce
-byte-identical reports.  Sampled activations are exported as CSV.  Command
-handlers return their text and exit code; ``main`` alone writes the text, to
-the ``--out`` file first (one write, after the command has succeeded), then
-to stdout.  A refused input, an unwritable ``--out`` included, gets one
-``error:`` line on stderr and nothing on stdout.
+floats at 17 significant digits, non-finite floats as null), so identical
+inputs and seeds produce byte-identical reports.  Sampled activations are
+exported as CSV.  Command handlers return their text and exit code; ``main``
+alone writes the text, to the ``--out`` file first (one write, after the
+command has succeeded), then to stdout.  A refused input, an unwritable
+``--out`` or a flag argparse rejects included, gets one ``error:`` line on
+stderr and nothing on stdout.
 
 Exit codes: 0 success / verification passed, 1 verification failed, 2 parse
 error, 3 dimension or size limit exceeded, 4 unbounded group (the violating
@@ -49,7 +50,7 @@ from .errors import (
     UnboundedGroupError,
 )
 from .normalize import signed_normalize
-from .repspaces import PermAction, equivariant_basis, tensor_action
+from .repspaces import PermAction, _coordinate_arrays, equivariant_basis, tensor_action
 from .tclass import SubgroupKind, classify_group_detailed, maximal_family
 
 SCHEMA_VERSION = "equichar-report-v1"
@@ -69,11 +70,18 @@ class ParseError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # no usage text and exit: main reports one error: line
+        raise ParseError(message)
+
+
 # ---------------------------------------------------------------------------
 # deterministic JSON rendering
 
 
 def _render(obj, indent: int) -> str:
+    if isinstance(obj, (float, np.floating)):  # first: most leaves are floats
+        return format_float(obj) if math.isfinite(obj) else "null"  # JSON has no NaN or inf
     pad = " " * indent
     child = " " * (indent + 2)
     if isinstance(obj, dict):
@@ -87,18 +95,38 @@ def _render(obj, indent: int) -> str:
         items = [f"{child}{_render(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, np.ndarray):
-        return _render(obj.tolist(), indent)
+        return _render_array(obj, indent)
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if obj is None:
         return "null"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot render {type(obj)!r} in a report")
+
+
+def _render_array(a: np.ndarray, indent: int) -> str:
+    """``_render(a.tolist(), indent)``, with the leaves formatted in bulk and joined row by row."""
+    kind = a.dtype.kind
+    if a.size == 0 or kind not in "biuf":  # empty or unusual arrays as nested lists
+        return _render(a.tolist(), indent)
+    flat = a.ravel()
+    if kind == "f":
+        # each distinct float once; keyed on its bits, so -0.0 stays apart from 0.0
+        distinct, inverse = np.unique(flat.astype(float).view(np.int64), return_inverse=True)
+        texts = np.array([_render(x, 0) for x in distinct.view(float).tolist()], dtype=object)
+        leaves = texts[inverse].tolist()
+    elif kind == "b":
+        leaves = np.where(flat, "true", "false").tolist()
+    else:
+        leaves = list(map(str, flat.tolist()))
+    for axis in range(a.ndim - 1, -1, -1):  # the rows of the last axis first
+        pad = " " * (indent + 2 * axis)
+        sep, head, tail, w = ",\n  " + pad, "[\n  " + pad, "\n" + pad + "]", a.shape[axis]
+        leaves = [head + sep.join(leaves[i : i + w]) + tail for i in range(0, len(leaves), w)]
+    return leaves[0]
 
 
 def render_report(report: dict) -> str:
@@ -346,7 +374,7 @@ def _cmd_basis(args) -> tuple[str, int]:
     basis = equivariant_basis(a_in, a_out)
     input = {"n": args.n, "kIn": args.k_in, "kOut": args.k_out, "group": args.group}
     body = {"dimIn": basis.dim_in, "dimOut": basis.dim_out, "count": len(basis)}
-    body["elements"] = basis.sparse_coordinates()
+    body["elements"] = _coordinate_arrays(basis)
     return _report(args, input, [], basis=body), 0
 
 
@@ -396,7 +424,7 @@ def _cmd_export_activation(args) -> tuple[str, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="equichar",
         description=(
             "Classify matrix groups by admissible point-wise activations, "
@@ -455,8 +483,8 @@ _EXIT_CODES = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         text, code = args.handler(args)
         if args.out:
             try:

@@ -207,10 +207,15 @@ class LayerBasis:
 
     def sparse_coordinates(self) -> list[list[tuple[int, int]]]:
         """Each element as its sorted list of (row, col) support coordinates."""
-        members, bounds = _blocks(self.labels)
-        rows, cols = np.divmod(members, self.dim_in)
-        pairs = list(zip(rows.tolist(), cols.tolist()))
-        return [pairs[a:b] for a, b in bounds]
+        return [list(map(tuple, c.tolist())) for c in _coordinate_arrays(self)]
+
+
+def _coordinate_arrays(basis: LayerBasis) -> list[np.ndarray]:
+    """Each element's sorted (row, col) support coordinates as its own (k, 2) integer array."""
+    members, bounds = _blocks(basis.labels)
+    coords = np.stack(np.divmod(members, basis.dim_in), axis=1)
+    # copies, not views of one buffer: views raised the peak RSS of repeated basis reports
+    return [coords[a:b].copy() for a, b in bounds]
 
 
 def equivariant_basis(a_in: PermAction, a_out: PermAction) -> LayerBasis:
@@ -358,15 +363,17 @@ def validate_network(
             stages.append(("activation", activations[k], k + 1))
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for t in range(trials):
-        x = _nonzero_uniform(rng, actions[0].size)
-        for gi in range(gen_count):
-            transformed, plain = x[inverses[0][gi]], x.copy()
-            for stage, (kind, f, space) in enumerate(stages, 1):
-                transformed, plain = f(transformed), f(plain)
-                residual = float(np.abs(transformed - plain[inverses[space][gi]]).max())
-                worst = max(worst, residual)
-                if residual > tol:
-                    failure = StageFailure(stage, kind, t, gi, residual, x)
-                    return NetworkReport(False, trials, worst, failure)
+    # an overflow makes a residual inf or NaN: no warning, and the check fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(trials):
+            x = _nonzero_uniform(rng, actions[0].size)
+            for gi in range(gen_count):
+                transformed, plain = x[inverses[0][gi]], x.copy()
+                for stage, (kind, f, space) in enumerate(stages, 1):
+                    transformed, plain = f(transformed), f(plain)
+                    residual = float(np.abs(transformed - plain[inverses[space][gi]]).max())
+                    worst = max(residual, worst)  # residual first, so that NaN is kept
+                    if not residual <= tol:
+                        failure = StageFailure(stage, kind, t, gi, residual, x)
+                        return NetworkReport(False, trials, worst, failure)
     return NetworkReport(True, trials, worst, None)

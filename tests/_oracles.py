@@ -3,12 +3,15 @@
 These deliberately avoid the library's orbit-labelling and BFS code paths:
 permutation groups are enumerated as tuples under composition, orbit and
 fixed-space counts come from explicit averaging over the enumerated group,
-and matrix products are walked directly when probing boundedness.
+matrix products are walked directly when probing boundedness, and reports
+are rendered one value at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import math
 
 import numpy as np
 
@@ -146,3 +149,39 @@ def bfs_matrix_closure(generators, n: int, cap: int, tol: float):
             found.append(candidate)
             queue.append(candidate)
     return found, True
+
+
+def render_oracle(obj, indent: int) -> str:
+    """A report value as deterministic JSON, recursing one value at a time.
+
+    Two-space indent, one leaf per line, floats at 17 significant digits
+    (``-0.0`` as ``-0``), non-finite floats as ``null``, and arrays as their
+    nested lists.
+    """
+    pad = " " * indent
+    child = " " * (indent + 2)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{child}{json.dumps(str(k))}: {render_oracle(v, indent + 2)}" for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if len(obj) == 0:
+            return "[]"
+        items = [f"{child}{render_oracle(v, indent + 2)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, np.ndarray):
+        return render_oracle(obj.tolist(), indent)
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return f"{float(obj):.17g}" if math.isfinite(obj) else "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot render {type(obj)!r} in a report")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +208,15 @@ class TestPointwiseEquivariance:
         lhs = relu()(s_matrix @ x)
         rhs = s_matrix @ relu()(x)
         assert np.abs(lhs - rhs).max() == pytest.approx(ce.residual)
+
+    def test_nan_residual_fails_without_warnings(self):
+        # 1e308 * x overflows, so f(Mx) - M f(x) is inf - inf = NaN for relu and identity
+        huge = np.array([[0.0, 1e308], [1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_pointwise_equivariance(relu(), [huge], trials=5, seed=0)
+        assert not report.passed
+        assert np.isnan(report.worst_residual) and np.isnan(report.counterexample.residual)
 
     def test_identity_commutes_with_anything(self, p_matrix, s_matrix, m_matrix):
         report = verify_pointwise_equivariance(

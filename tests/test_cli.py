@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import _oracles
 from equichar import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -213,6 +216,27 @@ class TestBasisCommand:
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1
 
+    # sha256 of stdout, taken when each element was rendered from a list of (row, col) tuples
+    @pytest.mark.parametrize(
+        "group, n, k_in, k_out, digest",
+        [
+            ("sym", 6, 3, 3, "477b6db894042431db5f23063f381f55feeca6e86c6c1ab178942882f8d9c982"),
+            ("sym", 7, 2, 2, "512a2d2a449f49cd5536cf448604a15e37c723d768dbeab2ba79a1ce2da6b566"),
+            ("sym", 5, 1, 3, "290b558dddd7c3c83fef85e252cfc90183a35e8d8a987321993996917426cd80"),
+            ("cyclic", 4, 3, 3, "0a3807b6b66c3280d8b6ad7937b88705fe174912d97b32c4f4de058b27e0e801"),
+            ("cyclic", 9, 2, 2, "81b38a38a7e929345fbe9e8d49d640809247e52f56f5ac3eca7a70cec868329a"),
+            ("sym", 8, 3, 3, "58426c291b52bacb3865320a0007c75a39f592973477e6c84daa818b3e9a53b4"),
+            ("sym", 1, 1, 1, "6561120c00bfb13af7a1e8dceec2e5d9ae3154db0193d1eab6fdf1515e1b40a6"),
+            ("cyclic", 1, 2, 2, "94bea809bddacc6738c7d251970d707d22194f87203945592d84b932387256dc"),
+            ("sym", 2, 2, 2, "aebdc07169e9e3343b404e492145bcab776d653171c208b908b252a0c0837c5e"),
+        ],
+    )
+    def test_report_bytes_are_pinned(self, main_cli, group, n, k_in, k_out, digest):
+        argv = ["basis", "--n", str(n), "--k-in", str(k_in), "--k-out", str(k_out)]
+        result = main_cli(*argv, "--group", group)
+        assert result.returncode == 0 and result.stderr == ""
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
 
 class TestVerifyCommand:
     def test_odd_activation_on_signed_permutation_passes(self, main_cli, s_spec):
@@ -250,6 +274,18 @@ class TestVerifyCommand:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["input"]["activation"] == "eta[b=2]"
+
+    def test_overflowing_residual_fails_with_null(self, main_cli, tmp_path):
+        # 1e308 * x overflows for |x| > 1.8, so f(Mx) - M f(x) is inf - inf = NaN
+        spec = write_spec(tmp_path / "huge.json", "huge", [[[0, 1e308], [1, 0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = main_cli("verify", str(spec), "--activation", "relu", "--trials", "5")
+        assert result.returncode == 1 and result.stderr == ""
+        verification = json.loads(result.stdout)["verification"]
+        assert verification["pass"] is False
+        assert '"worstResidual": null' in result.stdout
+        assert verification["counterexample"]["residual"] is None
 
     def test_unknown_activation_is_parse_error(self, main_cli, p_spec):
         result = main_cli("verify", str(p_spec), "--activation", "gelu")
@@ -449,6 +485,9 @@ BAD_INPUTS = {
     "file-tol-huge-int": (["classify", "{tol_huge_int}"], None),
     "file-int-5000-digits": (["classify", "{int_5000_digits}"], None),
     "file-deep-nesting": (["classify", "{deep_nesting}"], None),
+    "basis-missing-group": (["basis", "--n", "3", "--k-in", "1", "--k-out", "1"], None),
+    "classify-unknown-flag": (["classify", "{spec}", "--frob", "1"], None),
+    "no-command": ([], None),
 }
 # the part of the error line that names what was refused
 BAD_INPUT_MESSAGES = {
@@ -468,6 +507,9 @@ BAD_INPUT_MESSAGES = {
     "profile-signed-str": "'signed' must be true or false",
     "spec-generator-ragged": "generator 0 must be a list of equal-length rows of numbers",
     "spec-generator-row-overflow": "generator 0 has a row summing past the float range",
+    "basis-missing-group": "the following arguments are required: --group",
+    "classify-unknown-flag": "unrecognized arguments: --frob 1",
+    "no-command": "the following arguments are required: command",
 }
 
 
@@ -487,6 +529,13 @@ def test_bad_input_exits_2_with_one_line_error(case, tmp_path, monkeypatch, caps
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert BAD_INPUT_MESSAGES.get(case, "") in captured.err
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["basis", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: equichar basis [-h] [--out OUT] --n N")
 
 
 class TestDimensionLimit:
@@ -677,3 +726,52 @@ def test_fuzzed_inputs_get_a_report_or_one_error_line(files, parts, out, tmp_pat
         assert stdout.getvalue() and stderr.getvalue() == "", argv
         if out == ["--out={dir}/report"]:
             assert report_file.read_text() == stdout.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# rendering: the array renderer against the one-value-at-a-time oracle
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 0.1, 1 / 3]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())  # st.floats() draws nan, inf
+SHAPES = st.one_of(st.sampled_from([(), (0,), (2, 0), (0, 3)]), hnp.array_shapes(min_dims=1))
+ARRAYS = st.one_of(
+    hnp.arrays(np.float64, SHAPES, elements=FLOATS),
+    hnp.arrays(np.float32, SHAPES, elements=st.floats(width=32)),
+    hnp.arrays(np.int64, SHAPES),
+    hnp.arrays(np.uint8, SHAPES),
+    hnp.arrays(np.bool_, SHAPES),
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    FLOATS,
+    st.text(),
+    st.booleans().map(np.bool_),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+REPORT_VALUES = st.recursive(
+    st.one_of(SCALARS, ARRAYS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(), REPORT_VALUES, max_size=4))
+def test_render_report_matches_the_oracle(report):
+    assert cli.render_report(report) == _oracles.render_oracle(report, 0) + "\n"
+
+
+def test_render_keeps_negative_zero_apart_and_writes_non_finite_as_null():
+    values = np.array([[0.0, -0.0], [np.nan, -np.inf]])
+    lines = ["{", '  "v": [', "    [", "      0,", "      -0", "    ],", "    [", "      null,"]
+    lines += ["      null", "    ]", "  ]", "}", ""]
+    assert cli.render_report({"v": values}) == "\n".join(lines)

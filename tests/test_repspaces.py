@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from equichar import (
     validate_network,
 )
 from equichar.catalog import cyclic_action_generators, symmetric_action_generators
-from equichar.repspaces import MAX_BASIS_PAIRS
+from equichar.repspaces import MAX_BASIS_PAIRS, _coordinate_arrays
 
 S3_GENS = ((1, 0, 2), (1, 2, 0))
 S4_GENS = ((1, 0, 2, 3), (1, 2, 3, 0))
@@ -246,6 +248,25 @@ class TestOrbitLabels:
             expected = _oracles.brute_force_pair_orbits(gens, size_out, size_in)
             assert equivariant_basis(a_in, a_out).sparse_coordinates() == expected
 
+    @pytest.mark.parametrize("group", ["sym", "cyclic", "random"])
+    def test_coordinate_arrays_are_separate_and_match_brute_force(self, group):
+        builders = {"sym": symmetric_action_generators, "cyclic": cyclic_action_generators}
+        rng = np.random.default_rng(11)
+        for n, k_in, k_out in [(1, 1, 1), (3, 2, 1), (4, 1, 2), (5, 2, 2)]:
+            if group == "random":
+                gens = [rng.permutation(n).tolist() for _ in range(int(rng.integers(0, 3)))]
+            else:
+                gens = builders[group](n)
+            a_in, a_out = tensor_action(n, k_in, gens), tensor_action(n, k_out, gens)
+            basis = equivariant_basis(a_in, a_out)
+            arrays = _coordinate_arrays(basis)
+            pairs = [list(map(tuple, a.tolist())) for a in arrays]
+            assert pairs == basis.sparse_coordinates()
+            gen_pairs = list(zip(a_out.generators, a_in.generators))
+            assert pairs == _oracles.brute_force_pair_orbits(gen_pairs, a_out.size, a_in.size)
+            assert all(a.dtype.kind == "i" and a.shape[1:] == (2,) for a in arrays)
+            assert all(a.flags.owndata for a in arrays)  # no view of a shared buffer
+
     @pytest.mark.parametrize(
         "n, k_in, k_out", [(2, 1, 1), (3, 2, 1), (4, 1, 3), (4, 2, 2), (5, 2, 3), (6, 3, 3)]
     )
@@ -374,6 +395,16 @@ class TestValidateNetwork:
         assert not report.passed
         assert report.failure.stage == 1
         assert report.failure.kind == "affine"
+
+    def test_nan_residual_fails_without_warnings(self):
+        action = s_n(3)
+        layers = _deepsets_stack(3, action, [(1e308, 0.0)])  # inf - inf where 1e308 * x overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_network(layers, [], [action] * 2, trials=5, seed=0)
+        assert not report.passed
+        assert report.failure.stage == 1 and np.isnan(report.failure.residual)
+        assert np.isnan(report.worst_residual)
 
     def test_corrupted_second_layer_fails_at_stage_three(self):
         action = s_n(3)
