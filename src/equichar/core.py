@@ -56,8 +56,7 @@ class MonomialForm:
     def dense(self) -> np.ndarray:
         """Rebuild the dense matrix from the (perm, coeffs) factorization."""
         out = np.zeros((self.n, self.n))
-        for i, (row, c) in enumerate(zip(self.perm, self.coeffs)):
-            out[row, i] = c
+        out[self.perm, np.arange(self.n)] = self.coeffs
         return out
 
 

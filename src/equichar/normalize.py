@@ -102,10 +102,6 @@ def positive_scaling(spec: GroupSpec, tol: float = DEFAULT_TOL) -> ScalingResult
     return ScalingResult(d, normalized)
 
 
-def signed_normalize(spec: GroupSpec, tol: float = DEFAULT_TOL) -> ScalingResult:
-    """Rescale a signed monomial group so all conjugate entries lie in {0, +-1}.
-
-    The same computation as ``positive_scaling``: the rescaling depends only
-    on coefficient magnitudes, and the conjugates keep each generator's signs.
-    """
-    return positive_scaling(spec, tol)
+# The rescaling reads only coefficient magnitudes and the conjugates keep each
+# generator's signs, so signed groups need no computation of their own.
+signed_normalize = positive_scaling

@@ -239,7 +239,7 @@ def classify_group_detailed(
     unit_row = all(is_unit_row(g, tol) for g in spec.generators)
     if monomial:
         non_negative = all(c > 0 for f in forms for c in f.coeffs)
-        mats: Sequence = spec.generators
+        mats: Sequence = spec.generators or (np.eye(spec.n),)  # the identity for no generators
     else:
         if spec.n > MAX_SUBSET_DIM:
             # subset sums are infeasible already for the generators, so do
@@ -265,11 +265,7 @@ def classify_group_detailed(
                 "closure did not stabilize below the element cap; "
                 "scalar subgroup computed from generators only (approximation)"
             )
-    if len(mats) == 0:
-        tgens = TGenerators((1.0,))  # trivial group: only the identity
-    else:
-        tgens = subset_sum_generators(mats, tol)
-    tclass = classify_subgroup(tgens, tol)
+    tclass = classify_subgroup(subset_sum_generators(mats, tol), tol)
     return GroupClassification(monomial, non_negative, unit_row, tclass), notes
 
 

@@ -171,6 +171,24 @@ class TestFamilyMembership:
             shifted, ActivationFamily(FamilyKind.LINEAR_ONLY)
         ).passed
 
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda x: np.where(x > 0, 2 * x, np.nan),
+            lambda x: np.where(x > 0, np.nan, x),
+            lambda x: x * 1e308 * 10,  # the fit residual is inf - inf
+        ],
+        ids=["nan-on-negatives", "nan-on-positives", "overflow"],
+    )
+    def test_nan_residual_fails_semilinear(self, fn):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_family_membership(
+                custom("f", fn), ActivationFamily(FamilyKind.SEMILINEAR)
+            )
+        assert not report.passed
+        assert np.isnan(report.worst_residual)
+
     def test_everything_is_continuous(self):
         for f in (relu(), tanh(), identity()):
             assert check_family_membership(f, ActivationFamily(FamilyKind.CONTINUOUS)).passed

@@ -558,6 +558,32 @@ class TestGoldenRotationReports:
         assert result.stdout == expected
 
 
+# (pinned stdout file, exit code, argv); input files live next to the outputs
+GOLDEN_JOBS = [
+    ("normalize_bounded_report.json", 0, ["normalize", "normalize_bounded.json"]),
+    ("normalize_unbounded_report.json", 4, ["normalize", "normalize_unbounded.json"]),
+    ("verify_eta_report.json", 0, ["verify", "verify_eta.json", "--activation",
+                                   "eta:eta_plain.json", "--trials", "50", "--seed", "5"]),
+    ("verify_relu_report.json", 1, ["verify", "verify_relu.json", "--activation", "relu",
+                                    "--trials", "20", "--seed", "1"]),
+    ("export_plain.csv", 0, ["export-activation", "--eta-file", "eta_plain.json",
+                             "--grid-min", "-20", "--grid-max", "20", "--grid-count", "41"]),
+    ("export_signed.csv", 0, ["export-activation", "--eta-file", "eta_signed.json",
+                              "--grid-min", "-20", "--grid-max", "20", "--grid-count", "41"]),
+    ("classify_trivial_report.json", 0, ["classify", "classify_trivial.json"]),
+]
+
+
+@pytest.mark.parametrize(
+    "expected, code, argv", GOLDEN_JOBS, ids=[job[0].split(".")[0] for job in GOLDEN_JOBS]
+)
+def test_command_output_matches_golden_bytes(main_cli, monkeypatch, expected, code, argv):
+    monkeypatch.chdir(GOLDEN)
+    result = main_cli(*argv)
+    assert result.stdout == (GOLDEN / expected).read_text()
+    assert (result.stderr, result.returncode) == ("", code)
+
+
 class TestToleranceBelowDefault:
     """Value types hold exact invariants, so a --tol below 1e-9 gets a report."""
 

@@ -156,8 +156,10 @@ class TestClassifyGroup:
     def test_trivial_group_from_no_generators(self):
         from equichar import GroupSpec
 
-        c = classify_group(GroupSpec("trivial", 3, ()))
-        assert maximal_family(c).kind is FamilyKind.CONTINUOUS
+        # dimension 25 exceeds MAX_SUBSET_DIM, but the identity is monomial
+        for n in (3, 25):
+            c = classify_group(GroupSpec("trivial", n, ()))
+            assert maximal_family(c).kind is FamilyKind.CONTINUOUS
 
     def test_closure_invariance_for_monomial_generators(self, s_matrix, z2_matrix):
         for spec in (spec_of("s", s_matrix), spec_of("z2", z2_matrix)):
