@@ -156,6 +156,20 @@ def custom(name: str, fn: Callable[[np.ndarray], np.ndarray]) -> Activation:
     return Activation(name, fn)
 
 
+def _end_limit(ys: np.ndarray) -> float:
+    """The limit of b**n * eta(y) as n grows, for a profile sampled at ``ys``.
+
+    It is +-inf when the piecewise-linear profile keeps one strict sign on
+    [1, b]; otherwise the map keeps returning to 0 or crossing it, and the
+    limit does not exist (NaN).
+    """
+    if (ys > 0).all():
+        return np.inf
+    if (ys < 0).all():
+        return -np.inf
+    return np.nan
+
+
 def build_eta_activation(
     b: float,
     eta_plus: EtaProfile,
@@ -170,7 +184,8 @@ def build_eta_activation(
     through ``eta_minus`` (defaulting to ``eta_plus``), yielding a
     b-multiplicative function; with ``signed=True`` the odd extension is used
     instead (``eta_minus`` must be absent), yielding a +-b-multiplicative
-    function.  f(0) = 0 exactly in both cases.
+    function.  f(0) = 0 exactly in both cases, and f(+-inf) is the limit of f
+    along that half-line (see ``_end_limit``).
     """
     if b <= 1.0 + tol:
         raise ValueError("base b must exceed 1")
@@ -180,20 +195,26 @@ def build_eta_activation(
         raise ValueError("signed construction determines the negative branch; omit eta_minus")
     if eta_minus is not None and abs(eta_minus.b - b) > tol:
         raise ValueError("eta_minus was sampled for a different base")
+    plus_end = _end_limit(eta_plus.ys)
     if signed:
         def minus(y):  # the odd extension
             return -eta_plus(y)
+        minus_end = -plus_end
     else:
         minus = eta_plus if eta_minus is None else eta_minus
+        minus_end = _end_limit(minus.ys)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(arr)
-        live = (arr > 0) | (arr < 0)  # zeros and NaN map to 0
+        live = np.isfinite(arr) & (arr != 0)  # zeros and NaN map to 0
         if live.any():
             v = arr[live]
             n, y = _decompose_positive(np.abs(v), b, tol)
             out[live] = np.power(b, n) * np.where(v > 0, eta_plus(y), minus(y))
+        infinite = np.isinf(arr)
+        if infinite.any():
+            out[infinite] = np.where(arr[infinite] > 0, plus_end, minus_end)
         return out.reshape(np.shape(x))
 
     suffix = ",signed" if signed else ""

@@ -9,6 +9,8 @@ comparisons use a single absolute tolerance.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,24 +143,54 @@ def close_group(
     since every element then has finite order.
 
     The elements live in one growing (m, n, n) array in discovery order; the
-    breadth-first queue is the part of it after ``head``.
+    breadth-first queue is the part of it after ``head``.  A candidate is
+    compared only with the elements whose projections onto one fixed random
+    vector ``r`` lie in its window, which holds every element within ``tol``
+    of it, so the answer is the full scan's.  A candidate with an infinite or
+    NaN entry is within ``tol`` of no element, so it is always new.
     """
+    r = np.random.default_rng(0).standard_normal(spec.n * spec.n)
+    r /= 2.0 * np.abs(r).sum()  # |r|_1 = 1/2: no finite matrix projects past the float range
+    # Two matrices within tol in every entry project within tol*|r|_1 of each
+    # other.  A float dot product of length N = n*n is off by at most about
+    # N*eps/2*reach*|r|_1, where reach bounds every entry involved.  The
+    # window doubles both terms, which also covers the rounding of its bounds.
+    rounding = (r.size + 1) * np.finfo(float).eps
+    r1 = float(np.abs(r).sum())
+    gens = np.array(spec.generators).reshape(-1, spec.n, spec.n)
     found = np.empty((16, spec.n, spec.n))
     found[0] = np.eye(spec.n)
+    keys = [float(found[0].ravel() @ r)]  # projections of the finite elements, sorted
+    order = [0]  # index into found of each key
+    reach = 1.0  # largest |entry| of a finite candidate so far
     size, head, complete = 1, 0, True
     while head < size and complete:
-        current = found[head]
+        products = found[head] @ gens
         head += 1
-        for g in spec.generators:
-            candidate = current @ g
-            if np.abs(found[:size] - candidate).max(axis=(1, 2)).min() <= tol:
-                continue
+        peaks = np.abs(products).max(axis=(1, 2)).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite key goes unused
+            projections = (products.reshape(len(gens), -1) @ r).tolist()
+        for candidate, peak, key in zip(products, peaks, projections):
+            finite = math.isfinite(peak)  # a non-finite candidate is within tol of nothing
+            if finite:
+                reach = max(reach, peak)
+                half = 2.0 * r1 * (tol + rounding * reach)
+                near = order[bisect_left(keys, key - half):bisect_right(keys, key + half)]
+                if len(near) == 1:  # the usual case, compared without a fancy-index copy
+                    if np.abs(found[near[0]] - candidate).max() <= tol:
+                        continue
+                elif near and np.abs(found[near] - candidate).max(axis=(1, 2)).min() <= tol:
+                    continue
             if size >= cap:
                 complete = False
                 break
             if size == len(found):
                 found = np.concatenate([found, np.empty_like(found)])
             found[size] = candidate
+            if finite:
+                at = bisect_left(keys, key)
+                keys.insert(at, key)
+                order.insert(at, size)
             size += 1
     return ClosureResult(list(found[:size]), complete)
 

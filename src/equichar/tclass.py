@@ -23,16 +23,17 @@ from .core import (
     DEFAULT_CLOSURE_CAP,
     DEFAULT_TOL,
     GroupSpec,
-    as_matrix,
     close_group,
     is_unit_row,
     monomial_decompose,
 )
-from .errors import DimensionTooLargeError
+from .errors import DimensionTooLargeError, ShapeMismatchError
 
 # 2**20 subset sums per row is the largest exhaustive enumeration we allow.
 MAX_SUBSET_DIM = 20
 DEFAULT_GCD_ITER = 64
+# how far a complete closure's character averages may sit from integers
+CHARACTER_TOL = 1e-6
 
 
 class SubgroupKind(str, Enum):
@@ -113,7 +114,7 @@ class TGenerators:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("generator set must be nonempty")
-        if any(v == 0.0 for v in self.values):
+        if 0.0 in self.values:
             raise ValueError("generator values must be nonzero")
 
 
@@ -131,42 +132,70 @@ class GroupClassification:
             raise ValueError("non_negative is only tracked for monomial groups")
 
 
-def _dedup_with_tol(values: list[float], tol: float) -> tuple[float, ...]:
-    out: list[float] = []
-    for v in sorted(values):
-        if not out or v - out[-1] > tol:
-            out.append(v)
-    return tuple(out)
+def _dedup_with_tol(v: np.ndarray, tol: float) -> tuple[float, ...]:
+    """Thin sorted ``v``: keep a value iff it exceeds the last kept one by more than ``tol``.
+
+    A gap above ``tol`` always starts a kept value, so the rule runs per
+    cluster of values joined by gaps of at most ``tol``.  A cluster that spans
+    at most ``tol`` keeps its first value alone; a wider one is thinned one
+    value at a time.
+    """
+    if v.size == 0:
+        return ()
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(v) > tol) + 1))
+    ends = np.append(starts[1:], v.size)
+    keep = np.zeros(v.size, dtype=bool)
+    keep[starts] = True
+    wide = v[ends - 1] - v[starts] > tol
+    for s, e in zip(starts[wide].tolist(), ends[wide].tolist()):
+        segment = v[s:e].tolist()
+        last = segment[0]
+        for j, x in enumerate(segment[1:], s + 1):
+            if x - last > tol:
+                keep[j], last = True, x
+    return tuple(v[keep].tolist())
 
 
 def subset_sum_generators(mats: Sequence, tol: float = DEFAULT_TOL) -> TGenerators:
-    """All nonzero row subset sums over the given matrices.
+    """All nonzero row subset sums over the given matrices, of one dimension.
 
     For a monomial matrix every row holds a single nonzero entry, so its
     subset sums reduce to that entry set.  Non-monomial matrices are
-    enumerated exhaustively (2^n sums per row), which is refused above
-    dimension 20.
+    enumerated exhaustively (2^n sums per row, all matrices in one product),
+    which is refused above dimension 20.
+    """
+    return TGenerators(_dedup_with_tol(_sorted_subset_sums(mats, tol), tol))
+
+
+def _sorted_subset_sums(mats: Sequence, tol: float) -> np.ndarray:
+    """The values above ``tol`` in magnitude that ``subset_sum_generators`` thins, sorted.
+
+    Its arrays are freed on return, before the thinned values become floats.
     """
     if len(mats) == 0:
         raise ValueError("mats must be nonempty")
-    values: list[float] = []
-    for m in mats:
-        a = as_matrix(m)
-        form = monomial_decompose(a, tol)
-        if form is not None:
-            values.extend(form.coeffs)
-            continue
-        n = a.shape[0]
+    stack = np.asarray(mats, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ShapeMismatchError(f"expected square matrices of one shape, got {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite")
+    n = stack.shape[1]
+    big = (stack > tol) | (stack < -tol)  # |stack| > tol: the counts of monomial_decompose
+    monomial = (big.sum(axis=1) == 1).all(axis=1) & (big.sum(axis=2) == 1).all(axis=1)
+    parts = [stack[big & monomial[:, None, None]]]
+    rest = stack[~monomial]
+    if len(rest):
         if n > MAX_SUBSET_DIM:
             raise DimensionTooLargeError(
                 f"subset-sum enumeration needs 2^{n} sums per row; limit is 2^{MAX_SUBSET_DIM}"
             )
         masks = np.arange(2**n, dtype=np.int64)
         bits = (masks[:, None] >> np.arange(n)) & 1  # (2^n, n)
-        sums = a @ bits.T  # (n, 2^n), row i holds all subset sums of row i
-        flat = sums.ravel()
-        values.extend(float(v) for v in flat[np.abs(flat) > tol])
-    return TGenerators(_dedup_with_tol(values, tol))
+        sums = np.matmul(rest, bits.T)  # (k, n, 2^n), row i holds all subset sums of row i
+        parts.append(sums[(sums > tol) | (sums < -tol)])
+    values = np.concatenate(parts)
+    values.sort()
+    return values
 
 
 def _real_gcd(a: float, b: float, tol: float, max_iter: int) -> float:
@@ -176,6 +205,14 @@ def _real_gcd(a: float, b: float, tol: float, max_iter: int) -> float:
             return a
         a, b = b, math.fmod(a, b)
     return 0.0
+
+
+def _log_magnitudes(values: Sequence[float], tol: float):
+    """``|log|v||`` of each value off the unit circle by more than ``tol``, lazily.
+
+    ``math.log`` and not ``np.log``: one ulp of difference can move the base.
+    """
+    return (abs(math.log(abs(v))) for v in values if abs(abs(v) - 1.0) > tol)
 
 
 def classify_subgroup(
@@ -196,19 +233,19 @@ def classify_subgroup(
     order 1/tol), so a result that close to the floor certifies nothing.  The
     floor never drops below ``1000 * eps``, so that ``exp(g)`` stays above 1.
     """
-    has_negative = any(v < 0 for v in gens.values)
-    logs = [abs(math.log(abs(v))) for v in gens.values if abs(abs(v) - 1.0) > tol]
-    if not logs:
+    has_negative = min(gens.values) < 0
+    logs = _log_magnitudes(gens.values, tol)
+    g = next(logs, None)
+    if g is None:
         kind = SubgroupKind.PLUS_MINUS_ONE if has_negative else SubgroupKind.TRIVIAL
         return SubgroupClass(kind)
     floor = 1000.0 * max(tol, sys.float_info.epsilon)
-    g = logs[0]
-    for x in logs[1:]:
+    for x in logs:
         g = _real_gcd(g, x, tol, max_iter)
         if g <= floor:
             break
     if g > floor:
-        for x in logs:
+        for x in _log_magnitudes(gens.values, tol):
             if abs(x - round(x / g) * g) > tol:
                 g = 0.0
                 break
@@ -218,6 +255,22 @@ def classify_subgroup(
     b = math.exp(g)
     kind = SubgroupKind.SIGNED_POWERS_OF_B if has_negative else SubgroupKind.POWERS_OF_B
     return SubgroupClass(kind, b)
+
+
+def _character_defect(elements: Sequence[np.ndarray]) -> str | None:
+    """The first character average of a closure that is off an integer, or None.
+
+    Over a finite group G, (1/|G|) sum tr h is the dimension of the fixed
+    space and (1/|G|) sum tr(h)^2 is <chi, chi>, the sum of the squared
+    multiplicities of the irreducible constituents (the matrices are real);
+    both are integers (Serre, section 2.3).  A closure that kept spurious
+    near-duplicates at large matrix scale misses them.
+    """
+    traces = np.trace(np.asarray(elements), axis1=1, axis2=2)
+    for name, mean in (("mean trace", traces.mean()), ("mean squared trace", (traces**2).mean())):
+        if abs(mean - round(mean)) > CHARACTER_TOL:
+            return f"{name} {float(mean)!r} is not an integer"
+    return None
 
 
 def classify_group_detailed(
@@ -231,7 +284,8 @@ def classify_group_detailed(
     scalar subgroup is computed from the generator entries, which generate
     the entry set of the whole group multiplicatively.  For non-monomial
     generators the subset sums run over the finite closure when it
-    stabilizes, else over the generators alone.
+    stabilizes and passes the character check (``_character_defect``), else
+    over the generators alone.
     """
     notes: list[str] = []
     forms = [monomial_decompose(g, tol) for g in spec.generators]
@@ -257,14 +311,14 @@ def classify_group_detailed(
             np.abs(np.log(np.abs(np.linalg.eigvals(g)))).max() <= spec.n * tol
             for g in spec.generators
         )
-        if finite and (closure := close_group(spec, cap, tol)).complete:
-            mats = closure.elements
+        mats = spec.generators
+        fallback = "scalar subgroup computed from generators only (approximation)"
+        if not (finite and (closure := close_group(spec, cap, tol)).complete):
+            notes.append(f"closure did not stabilize below the element cap; {fallback}")
+        elif (defect := _character_defect(closure.elements)) is not None:
+            notes.append(f"closure failed the character check ({defect}); {fallback}")
         else:
-            mats = spec.generators
-            notes.append(
-                "closure did not stabilize below the element cap; "
-                "scalar subgroup computed from generators only (approximation)"
-            )
+            mats = closure.elements
     tclass = classify_subgroup(subset_sum_generators(mats, tol), tol)
     return GroupClassification(monomial, non_negative, unit_row, tclass), notes
 

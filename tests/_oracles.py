@@ -3,8 +3,9 @@
 These deliberately avoid the library's orbit-labelling and BFS code paths:
 permutation groups are enumerated as tuples under composition, orbit and
 fixed-space counts come from explicit averaging over the enumerated group,
-matrix products are walked directly when probing boundedness, and reports
-are rendered one value at a time.
+matrix products are walked directly when probing boundedness, row subset
+sums are taken one matrix at a time and thinned one value at a time, and
+reports are rendered one value at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import json
 import math
 
 import numpy as np
+
+from equichar.core import monomial_decompose
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -113,6 +116,37 @@ def row_subset_sums(matrix: np.ndarray, tol: float) -> set[float]:
     return values
 
 
+def dedup_with_tol(values, tol: float) -> tuple[float, ...]:
+    """Sorted values, keeping each one that exceeds the last kept one by more than ``tol``."""
+    out: list[float] = []
+    for v in sorted(values):
+        if not out or v - out[-1] > tol:
+            out.append(v)
+    return tuple(out)
+
+
+def subset_sum_values(mats, tol: float) -> tuple[float, ...]:
+    """``subset_sum_generators(mats, tol).values``, one matrix at a time.
+
+    A monomial matrix contributes its coefficients; any other matrix all of
+    its row subset sums above ``tol`` in magnitude, from one product with the
+    (n, 2^n) table of subset indicators.
+    """
+    values: list[float] = []
+    for m in mats:
+        a = np.asarray(m, dtype=float)
+        form = monomial_decompose(a, tol)
+        if form is not None:
+            values.extend(form.coeffs)
+            continue
+        n = a.shape[0]
+        masks = np.arange(2**n, dtype=np.int64)
+        bits = (masks[:, None] >> np.arange(n)) & 1
+        flat = (a @ bits.T).ravel()
+        values.extend(float(v) for v in flat[np.abs(flat) > tol])
+    return dedup_with_tol(values, tol)
+
+
 def max_entry_growth(generators, steps: int) -> list[float]:
     """Largest |entry| seen after each breadth level of the product walk."""
     n = generators[0].shape[0]
@@ -130,25 +164,29 @@ def max_entry_growth(generators, steps: int) -> list[float]:
 
 
 def bfs_matrix_closure(generators, n: int, cap: int, tol: float):
-    """(elements, complete): breadth-first closure with a list and a FIFO queue.
+    """(elements, complete): breadth-first closure with a FIFO queue and a full scan.
 
     The quadratic reference for ``close_group``: start from the identity,
     right-multiply by each generator in order, and keep a product unless some
-    element found so far is within ``tol`` of it in every entry.
+    element found so far is within ``tol`` of it in every entry.  Every
+    product is compared with every element found, in one array expression.
     """
-    found = [np.eye(n)]
+    found = np.empty((cap, n, n))
+    found[0] = np.eye(n)
+    size = 1
     queue = [np.eye(n)]
     while queue:
         current = queue.pop(0)
         for g in generators:
             candidate = current @ g
-            if any(np.abs(e - candidate).max() <= tol for e in found):
+            if (np.abs(found[:size] - candidate).max(axis=(1, 2)) <= tol).any():
                 continue
-            if len(found) >= cap:
-                return found, False
-            found.append(candidate)
+            if size >= cap:
+                return list(found[:size]), False
+            found[size] = candidate
+            size += 1
             queue.append(candidate)
-    return found, True
+    return list(found[:size]), True
 
 
 def render_oracle(obj, indent: int) -> str:

@@ -33,6 +33,18 @@ def rotation(angle_radians: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def s4_at_scale(scale: float) -> list[np.ndarray]:
+    """S_4 generators conjugated by diag(scale, 1, 1, 1/scale) @ Q for a seeded orthogonal Q.
+
+    From scale 2e3 on, near-duplicates survive the tol test and the closure
+    stabilizes at the wrong order.
+    """
+    q = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))[0]
+    t = np.diag([scale, 1.0, 1.0, 1.0 / scale]) @ q
+    perms = [np.eye(4)[:, [1, 0, 2, 3]], np.eye(4)[:, np.roll(np.arange(4), 1)]]
+    return [t @ p @ np.linalg.inv(t) for p in perms]
+
+
 @pytest.fixture
 def rot60():
     return rotation(np.pi / 3)

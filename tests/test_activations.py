@@ -96,6 +96,22 @@ class TestBuildEtaActivation:
         f = build_eta_activation(2.0, profile, signed=True)
         assert f(3.0) == 3.75
 
+    @pytest.mark.parametrize(
+        "eta_minus, signed, limits",
+        [
+            (None, True, [np.inf, -np.inf]),  # x -> x
+            (None, False, [np.inf, np.inf]),  # x -> |x|: eta_minus defaults to eta_plus
+            (EtaProfile.linear(2.0, -1.0), False, [np.inf, -np.inf]),  # x -> x
+            (EtaProfile.from_samples(2.0, [[1, 1], [1.5, -1], [2, 2]]), False, [np.inf, np.nan]),
+        ],
+    )
+    def test_infinities_map_to_the_limit_without_warnings(self, eta_minus, signed, limits):
+        # the limit along each half-line exists only where its profile keeps
+        # one strict sign; filterwarnings=error turns any RuntimeWarning into a failure
+        f = build_eta_activation(2.0, EtaProfile.linear(2.0), eta_minus, signed=signed)
+        np.testing.assert_array_equal(f(np.array([np.inf, -np.inf])), limits)
+        assert f(np.inf) == np.inf
+
     def test_zero_is_exact_fixed_point(self):
         f = build_eta_activation(2.0, EtaProfile.linear(2.0, 0.7), signed=True)
         assert f(0.0) == 0.0

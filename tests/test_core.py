@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from conftest import rotation, spec_of
+from conftest import rotation, s4_at_scale, spec_of
 from equichar import (
     FamilyKind,
     GroupSpec,
@@ -192,7 +192,14 @@ class TestCloseGroup:
 
 
 def _closure_corpus():
-    """Seeded generator lists with caps: conjugated S_k, rational and irrational rotations."""
+    """Seeded generator lists with caps: conjugated S_k, rational and irrational rotations.
+
+    Besides these: S_4 conjugated at matrix scales 1e2 to 3e3, where near-
+    duplicates survive the tol test (67 elements at 3e3), a generator whose
+    powers overflow to inf and then NaN, an irrational rotation run to a cap
+    of 2,000, and two generators within tol of each other whose entries near
+    1e8 make their projections round apart by more than tol*|r|_1.
+    """
     rng = np.random.default_rng(8)
     corpus = []
     for k in (2, 3, 4, 5):
@@ -202,14 +209,21 @@ def _closure_corpus():
     for angle in (2 * np.pi / 5, 2 * np.pi / 12, 1.0, rng.uniform(0.5, 2.5)):
         a = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
         corpus += [([a @ rotation(angle) @ np.linalg.inv(a)], cap) for cap in (7, 50)]
+    corpus += [(s4_at_scale(scale), 10_000) for scale in (1e2, 1e3, 3e3)]
+    corpus.append(([3.0 * rotation(1.0)], 1000))
+    a = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
+    corpus.append(([a @ rotation(rng.uniform(0.5, 2.5)) @ np.linalg.inv(a)], 2000))
+    big = np.array([[1e8, 1e8], [1e8, 0.4265]])
+    corpus.append(([big, big + np.diag([0.0, 0.9e-9])], 3))
     return corpus
 
 
 @pytest.mark.parametrize("case", range(len(_closure_corpus())))
 def test_close_group_matches_reference_bfs(case):
     gens, cap = _closure_corpus()[case]
-    result = close_group(spec_of("corpus", *gens), cap=cap)
-    elements, complete = _oracles.bfs_matrix_closure(gens, gens[0].shape[0], cap, 1e-9)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflowing generator
+        result = close_group(spec_of("corpus", *gens), cap=cap)
+        elements, complete = _oracles.bfs_matrix_closure(gens, gens[0].shape[0], cap, 1e-9)
     assert result.complete == complete
     assert len(result) == len(elements)
     for got, want in zip(result.elements, elements):

@@ -1,10 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from conftest import rotation, spec_of
+from conftest import rotation, s4_at_scale, spec_of
 from equichar import (
     ActivationFamily,
     DimensionTooLargeError,
@@ -296,6 +298,103 @@ def test_generator_off_unit_circle_gets_note_without_closure(name, monkeypatch):
     monkeypatch.setattr(tclass, "close_group", lambda *a: pytest.fail("closure was run"))
     _, notes = classify_group_detailed(spec_of(name, OFF_UNIT_CIRCLE[name]))
     assert len(notes) == 1 and "generators only" in notes[0]
+
+
+UNIT_CIRCLE_INFINITE = {
+    # every eigenvalue on the unit circle but of infinite order: the closure
+    # runs to the 10,000 cap; (tclass kind, b) as the full-scan closure gave them
+    "shear": (np.array([[1.0, 1.0], [0.0, 1.0]]), SubgroupKind.POWERS_OF_B, 2.0),
+    "rot1": (rotation(1.0), SubgroupKind.DENSE, None),
+    "3-cycle-modified": (
+        np.array([[-1.0, 0.0, 1.0], [1.0, 0.5, 0.0], [0.0, 1.0, 0.0]]),
+        SubgroupKind.DENSE,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_CIRCLE_INFINITE))
+def test_unit_circle_generator_of_infinite_order_classifies_in_bounded_time(name):
+    gen, kind, b = UNIT_CIRCLE_INFINITE[name]
+    start = time.process_time()
+    c, notes = classify_group_detailed(spec_of(name, gen))
+    assert time.process_time() - start < 1.0
+    assert c == GroupClassification(False, False, False, SubgroupClass(kind, b))
+    assert notes == [
+        "closure did not stabilize below the element cap; "
+        "scalar subgroup computed from generators only (approximation)"
+    ]
+
+
+@pytest.mark.parametrize("scale, spurious", [(1e1, False), (1e3, False), (2e3, True), (3e3, True)])
+def test_character_check_refuses_closures_with_spurious_elements(scale, spurious):
+    spec = spec_of("s4", *s4_at_scale(scale))
+    closure = close_group(spec)
+    assert closure.complete and (len(closure) != 24) == spurious
+    c, notes = classify_group_detailed(spec)
+    assert c.tclass.kind is SubgroupKind.DENSE
+    if not spurious:
+        assert notes == []
+    else:  # near-duplicates survived the tol test at this scale
+        assert len(notes) == 1 and notes[0].startswith("closure failed the character check")
+        assert notes[0].endswith("scalar subgroup computed from generators only (approximation)")
+
+
+def test_character_defect_is_none_on_finite_groups():
+    rng = np.random.default_rng(4)
+    for k in (3, 4, 5, 6):
+        q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        perms = [np.eye(k)[:, [1, 0, *range(2, k)]], np.eye(k)[:, np.roll(np.arange(k), 1)]]
+        closure = close_group(spec_of(f"s{k}", *[q @ p @ q.T for p in perms]))
+        assert tclass._character_defect(closure.elements) is None
+    for m in (7, 60, 360):
+        a = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
+        closure = close_group(spec_of(f"c{m}", a @ rotation(2 * np.pi / m) @ np.linalg.inv(a)))
+        assert len(closure) == m and tclass._character_defect(closure.elements) is None
+
+
+def _subset_sum_corpus():
+    """Seeded matrix lists: closures of conjugated S_k and skewed rotations,
+    monomial matrices with entries at or below tol off their support, and
+    diagonal matrices whose entries are chains spaced 0.6 tol (clusters wider than tol)."""
+    rng = np.random.default_rng(21)
+    tol = 1e-9
+    corpus = []
+    for k in (3, 4, 5, 6):
+        q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        perms = [np.eye(k)[:, [1, 0, *range(2, k)]], np.eye(k)[:, np.roll(np.arange(k), 1)]]
+        corpus.append(close_group(spec_of(f"s{k}", *[q @ p @ q.T for p in perms])).elements)
+    for m in (7, 60):
+        a = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
+        corpus.append(close_group(spec_of("c", a @ rotation(2 * np.pi / m) @ np.linalg.inv(a))).elements)
+    p = np.eye(3)[:, [2, 0, 1]] * np.array([2.0, -0.5, 3.0])
+    off = p == 0
+    corpus.append([p, p + tol * off, p - 0.5 * tol * off, p + 1.5 * tol * off])
+    for start in (1.0, -3.0, 1e-3):
+        chain = start + 0.6 * tol * np.arange(12)
+        corpus.append([np.diag(chain[i:i + 4]) for i in range(0, 12, 4)])
+    gaps = rng.choice([0.3, 0.6, 0.9, 1.1, 5.0], size=60) * tol
+    chain = 2.0 + np.cumsum(gaps)
+    corpus.append([np.diag(chain[i:i + 3]) for i in range(0, 60, 3)] + corpus[0][:4])
+    return corpus
+
+
+SUBSET_SUM_CORPUS = _subset_sum_corpus()
+
+
+@pytest.mark.parametrize("case", range(len(SUBSET_SUM_CORPUS)))
+def test_subset_sums_match_one_matrix_at_a_time(case):
+    mats = SUBSET_SUM_CORPUS[case]
+    assert subset_sum_generators(mats).values == _oracles.subset_sum_values(mats, 1e-9)
+
+
+def test_dedup_matches_sequential_rule_on_wide_clusters():
+    rng = np.random.default_rng(9)
+    tol = 1e-9
+    for _ in range(50):
+        gaps = rng.choice([0.0, 0.3, 0.6, 1.0, 1.2, 4.0], size=rng.integers(1, 80)) * tol
+        values = np.sort(rng.uniform(-2.0, 2.0) + np.cumsum(gaps))
+        assert tclass._dedup_with_tol(values, tol) == _oracles.dedup_with_tol(values.tolist(), tol)
 
 
 class TestMaximalGroupLabel:
