@@ -79,23 +79,35 @@ class _Parser(argparse.ArgumentParser):
 # deterministic JSON rendering
 
 
-def _render(obj, indent: int) -> str:
-    if isinstance(obj, (float, np.floating)):  # first: most leaves are floats
-        return format_float(obj) if math.isfinite(obj) else "null"  # JSON has no NaN or inf
-    pad = " " * indent
+def _render(obj, indent: int, out: list[str]) -> None:
+    """Append the JSON text of ``obj``, its first line at ``indent``, to ``out`` piece by piece."""
     child = " " * (indent + 2)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{child}{json.dumps(str(k))}: {_render(v, indent + 2)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        items = [f"{child}{_render(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, np.ndarray):
-        return _render_array(obj, indent)
+        sep = "{\n" + child
+        for k, v in obj.items():
+            out.append(f"{sep}{json.dumps(str(k))}: ")
+            _render(v, indent + 2, out)
+            sep = ",\n" + child
+        out.append("\n" + " " * indent + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        sep = "[\n" + child
+        for v in obj:
+            out.append(sep)
+            _render(v, indent + 2, out)
+            sep = ",\n" + child
+        out.append("\n" + " " * indent + "]" if obj else "[]")
+    elif isinstance(obj, np.ndarray) and obj.size and obj.dtype.kind in "biuf":
+        _render_array(obj, indent, out)
+    elif isinstance(obj, np.ndarray):  # empty or unusual arrays as nested lists
+        _render(obj.tolist(), indent, out)
+    else:
+        out.append(_leaf(obj))
+
+
+def _leaf(obj) -> str:
+    """A number, boolean, string or None as JSON text."""
+    if isinstance(obj, (float, np.floating)):  # first: most leaves are floats
+        return format_float(obj) if math.isfinite(obj) else "null"  # JSON has no NaN or inf
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if obj is None:
@@ -107,30 +119,42 @@ def _render(obj, indent: int) -> str:
     raise TypeError(f"cannot render {type(obj)!r} in a report")
 
 
-def _render_array(a: np.ndarray, indent: int) -> str:
-    """``_render(a.tolist(), indent)``, with the leaves formatted in bulk and joined row by row."""
-    kind = a.dtype.kind
-    if a.size == 0 or kind not in "biuf":  # empty or unusual arrays as nested lists
-        return _render(a.tolist(), indent)
+def _template(shape: tuple[int, ...], indent: int, slot: str) -> str:
+    """The JSON text of an array of ``shape`` at ``indent``, with ``slot`` for every leaf."""
+    if not shape:
+        return slot
+    pad = " " * (indent + 2)
+    inner = _template(shape[1:], indent + 2, slot)
+    return "[\n" + pad + inner + (",\n" + pad + inner) * (shape[0] - 1) + "\n" + pad[2:] + "]"
+
+
+def _render_array(a: np.ndarray, indent: int, out: list[str]) -> None:
+    """``_render(a.tolist(), indent, out)`` for a nonempty array of booleans or numbers."""
     flat = a.ravel()
-    if kind == "f":
+    if a.dtype.kind in "iu":  # one fill of a template: faster than a join per row
+        out.append(_template(a.shape, indent, "%d") % tuple(flat.tolist()))
+        return
+    if a.dtype.kind == "f":
         # each distinct float once; keyed on its bits, so -0.0 stays apart from 0.0
-        distinct, inverse = np.unique(flat.astype(float).view(np.int64), return_inverse=True)
-        texts = np.array([_render(x, 0) for x in distinct.view(float).tolist()], dtype=object)
+        bits = flat.astype(float, copy=False).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        texts = np.array([_leaf(x) for x in distinct.view(float).tolist()], dtype=object)
         leaves = texts[inverse].tolist()
-    elif kind == "b":
-        leaves = np.where(flat, "true", "false").tolist()
     else:
-        leaves = list(map(str, flat.tolist()))
+        leaves = np.where(flat, "true", "false").tolist()
+    # a join per row, which is faster for floats than one fill of a %s template
     for axis in range(a.ndim - 1, -1, -1):  # the rows of the last axis first
         pad = " " * (indent + 2 * axis)
         sep, head, tail, w = ",\n  " + pad, "[\n  " + pad, "\n" + pad + "]", a.shape[axis]
         leaves = [head + sep.join(leaves[i : i + w]) + tail for i in range(0, len(leaves), w)]
-    return leaves[0]
+    out.append(leaves[0])
 
 
 def render_report(report: dict) -> str:
-    return _render(report, 0) + "\n"
+    out: list[str] = []
+    _render(report, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _report(args, input: dict, warnings: list[str], **body) -> str:

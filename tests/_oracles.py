@@ -5,7 +5,7 @@ permutation groups are enumerated as tuples under composition, orbit and
 fixed-space counts come from explicit averaging over the enumerated group,
 matrix products are walked directly when probing boundedness, row subset
 sums are taken one matrix at a time and thinned one value at a time, and
-reports are rendered one value at a time.
+reports and CSV tables are rendered one value at a time.
 """
 
 from __future__ import annotations
@@ -223,3 +223,11 @@ def render_oracle(obj, indent: int) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot render {type(obj)!r} in a report")
+
+
+def csv_oracle(f, grid) -> str:
+    """``export_activation_csv(f, grid)``, one formatted row at a time."""
+    values = f(np.asarray(grid, dtype=float))
+    lines = ["x,f_x"]
+    lines.extend(f"{float(x):.17g},{float(v):.17g}" for x, v in zip(grid, values))
+    return "\n".join(lines) + "\n"

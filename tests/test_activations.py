@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import _oracles
 from _profiles import random_eta_profile
 from equichar import (
     ActivationFamily,
@@ -42,6 +44,11 @@ class TestDecomposeScale:
         assert (n, y) == (10, 1.0)
         n, y = decompose_scale(2.0**10 * (1 - 1e-13), 2.0)
         assert (n, y) == (10, 1.0)
+
+    def test_subnormal_input_decomposes_without_a_warning(self):
+        b = 2.779554061750642  # the first guess of b**n rounds to 0 for x = 5e-324
+        n, y = decompose_scale(5e-324, b)
+        assert 1.0 <= y < b
 
     @settings(max_examples=200)
     @given(
@@ -312,3 +319,40 @@ class TestGridAndExport:
         f = build_eta_activation(2.0, EtaProfile.linear(2.0), signed=True)
         text = export_activation_csv(f, np.array([-1.5, 3.0]))
         assert text.splitlines()[1:] == ["-1.5,-1.5", "3,3"]
+
+
+# ---------------------------------------------------------------------------
+# CSV export: the one-fill writer against the one-row-at-a-time oracle
+
+
+def _eta(seed: int, signed: bool):
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(1.5, 4.0)
+    minus = None if signed else random_eta_profile(b, rng)
+    return build_eta_activation(b, random_eta_profile(b, rng), minus, signed=signed)
+
+
+SPECIAL_VALUES = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324]
+CSV_ACTIVATIONS = st.one_of(
+    st.sampled_from([relu(), tanh(), identity()]),
+    st.just(custom("specials", lambda x: np.resize(SPECIAL_VALUES, x.shape))),
+    st.builds(_eta, st.integers(0, 2**32 - 1), st.booleans()),
+)
+
+
+@st.composite
+def csv_grids(draw):
+    """Linear and log grids from ``sample_grid``, or any values, non-finite and -0.0 included."""
+    spacing = draw(st.sampled_from(["linear", "log", "any"]))
+    if spacing == "any":
+        values = st.one_of(st.floats(-1e300, 1e300), st.sampled_from(SPECIAL_VALUES))
+        return draw(hnp.arrays(np.float64, st.integers(0, 40), elements=values))
+    lo = draw(st.floats(-1e6, 1e6) if spacing == "linear" else st.floats(1e-6, 1e6))
+    hi = lo + draw(st.floats(1e-3, 1e6))
+    return sample_grid(lo, hi, draw(st.integers(1, 200)), spacing)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CSV_ACTIVATIONS, csv_grids())
+def test_export_activation_csv_matches_the_oracle(f, grid):
+    assert export_activation_csv(f, grid) == _oracles.csv_oracle(f, grid)

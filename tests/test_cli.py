@@ -764,8 +764,12 @@ ARRAYS = st.one_of(
     hnp.arrays(np.float64, SHAPES, elements=FLOATS),
     hnp.arrays(np.float32, SHAPES, elements=st.floats(width=32)),
     hnp.arrays(np.int64, SHAPES),
+    hnp.arrays(np.int32, SHAPES),
+    hnp.arrays(np.uint64, SHAPES, elements=st.integers(2**63, 2**64 - 1)),
     hnp.arrays(np.uint8, SHAPES),
     hnp.arrays(np.bool_, SHAPES),
+    # what ``basis`` passes: each element's (k, 2) support coordinates
+    st.lists(hnp.arrays(np.intp, st.tuples(st.integers(1, 6), st.just(2))), max_size=4),
 )
 SCALARS = st.one_of(
     st.none(),
