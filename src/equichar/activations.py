@@ -213,7 +213,8 @@ def build_eta_activation(
         if live.any():
             v = arr[live]
             n, y = _decompose_positive(np.abs(v), b, tol)
-            out[live] = np.power(b, n) * np.where(v > 0, eta_plus(y), minus(y))
+            with np.errstate(over="ignore"):  # past the float range the value is +-inf
+                out[live] = np.power(b, n) * np.where(v > 0, eta_plus(y), minus(y))
         infinite = np.isinf(arr)
         if infinite.any():
             out[infinite] = np.where(arr[infinite] > 0, plus_end, minus_end)
@@ -338,7 +339,9 @@ def verify_pointwise_equivariance(
 
     Checking the generators suffices: equivariance is preserved under matrix
     products, so it extends to the whole generated group.  The first failing
-    (trial, generator) pair is returned as the counterexample.
+    (trial, generator) pair is returned as the counterexample.  ``f`` is
+    called once per trial, on x stacked above every M x; it acts per
+    coordinate, so each row comes out as a call on that row alone would.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -354,9 +357,9 @@ def verify_pointwise_equivariance(
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(trials):
             x = _nonzero_uniform(rng, n)
-            fx = f(x)
-            for gi, m in enumerate(matrices):
-                residual = float(np.abs(f(m @ x) - m @ fx).max())
+            fx, *fmxs = f(np.stack([x] + [m @ x for m in matrices]))
+            for gi, (m, fmx) in enumerate(zip(matrices, fmxs)):
+                residual = float(np.abs(fmx - m @ fx).max())
                 worst = max(residual, worst)  # residual first, so that NaN is kept
                 if not residual <= tol:
                     ce = Counterexample(t, gi, x, residual)

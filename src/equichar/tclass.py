@@ -285,7 +285,9 @@ def classify_group_detailed(
     the entry set of the whole group multiplicatively.  For non-monomial
     generators the subset sums run over the finite closure when it
     stabilizes and passes the character check (``_character_defect``), else
-    over the generators alone.
+    over the generators alone.  A ``Dense`` class from the generators'
+    subset sums is final: the closure only adds values to them.  The
+    closure is still taken, because it decides the notes.
     """
     notes: list[str] = []
     forms = [monomial_decompose(g, tol) for g in spec.generators]
@@ -293,7 +295,8 @@ def classify_group_detailed(
     unit_row = all(is_unit_row(g, tol) for g in spec.generators)
     if monomial:
         non_negative = all(c > 0 for f in forms for c in f.coeffs)
-        mats: Sequence = spec.generators or (np.eye(spec.n),)  # the identity for no generators
+        mats = spec.generators or (np.eye(spec.n),)  # the identity for no generators
+        tclass = classify_subgroup(subset_sum_generators(mats, tol), tol)
     else:
         if spec.n > MAX_SUBSET_DIM:
             # subset sums are infeasible already for the generators, so do
@@ -311,15 +314,17 @@ def classify_group_detailed(
             np.abs(np.log(np.abs(np.linalg.eigvals(g)))).max() <= spec.n * tol
             for g in spec.generators
         )
-        mats = spec.generators
+        # The generators lie in the closure, so their subset sums are among
+        # the closure's: when they already mix a dense set with a negative
+        # value, so does the closure, and its subset sums can be skipped.
+        tclass = classify_subgroup(subset_sum_generators(spec.generators, tol), tol)
         fallback = "scalar subgroup computed from generators only (approximation)"
         if not (finite and (closure := close_group(spec, cap, tol)).complete):
             notes.append(f"closure did not stabilize below the element cap; {fallback}")
         elif (defect := _character_defect(closure.elements)) is not None:
             notes.append(f"closure failed the character check ({defect}); {fallback}")
-        else:
-            mats = closure.elements
-    tclass = classify_subgroup(subset_sum_generators(mats, tol), tol)
+        elif tclass.kind is not SubgroupKind.DENSE:
+            tclass = classify_subgroup(subset_sum_generators(closure.elements, tol), tol)
     return GroupClassification(monomial, non_negative, unit_row, tclass), notes
 
 

@@ -4,8 +4,10 @@ These deliberately avoid the library's orbit-labelling and BFS code paths:
 permutation groups are enumerated as tuples under composition, orbit and
 fixed-space counts come from explicit averaging over the enumerated group,
 matrix products are walked directly when probing boundedness, row subset
-sums are taken one matrix at a time and thinned one value at a time, and
-reports and CSV tables are rendered one value at a time.
+sums are taken one matrix at a time and thinned one value at a time,
+reports and CSV tables are rendered one value at a time, a group's scalar
+subgroup is always computed from the subset sums of its whole closure, and
+an equivariance check evaluates the activation on one vector at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ import math
 
 import numpy as np
 
-from equichar.core import monomial_decompose
+from equichar.core import close_group, is_unit_row, monomial_decompose
+from equichar.tclass import (
+    GroupClassification,
+    _character_defect,
+    classify_subgroup,
+    subset_sum_generators,
+)
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -231,3 +239,54 @@ def csv_oracle(f, grid) -> str:
     lines = ["x,f_x"]
     lines.extend(f"{float(x):.17g},{float(v):.17g}" for x, v in zip(grid, values))
     return "\n".join(lines) + "\n"
+
+
+def classify_over_closure(spec, tol: float, cap: int):
+    """``classify_group_detailed(spec, tol, cap)`` with the subset sums always
+    taken over the whole closure when it is complete and passes the character
+    check, whatever class the generators alone give."""
+    notes = []
+    forms = [monomial_decompose(g, tol) for g in spec.generators]
+    monomial = all(f is not None for f in forms)
+    unit_row = all(is_unit_row(g, tol) for g in spec.generators)
+    mats = spec.generators
+    non_negative = False
+    if monomial:
+        non_negative = all(c > 0 for f in forms for c in f.coeffs)
+        mats = spec.generators or (np.eye(spec.n),)
+    else:
+        finite = all(
+            np.abs(np.log(np.abs(np.linalg.eigvals(g)))).max() <= spec.n * tol
+            for g in spec.generators
+        )
+        fallback = "scalar subgroup computed from generators only (approximation)"
+        closure = close_group(spec, cap, tol) if finite else None
+        if closure is None or not closure.complete:
+            notes.append(f"closure did not stabilize below the element cap; {fallback}")
+        elif (defect := _character_defect(closure.elements)) is not None:
+            notes.append(f"closure failed the character check ({defect}); {fallback}")
+        else:
+            mats = closure.elements
+    tclass = classify_subgroup(subset_sum_generators(mats, tol), tol)
+    return GroupClassification(monomial, non_negative, unit_row, tclass), notes
+
+
+def verify_one_vector_at_a_time(f, mats, trials: int, tol: float, seed: int):
+    """(passed, worst residual, counterexample as (trial, generator, x, residual) or None)
+    of ``verify_pointwise_equivariance``, calling ``f`` on x and on each M x alone."""
+    rng = np.random.default_rng(seed)
+    n = mats[0].shape[0]
+    worst = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(trials):
+            x = rng.uniform(-10.0, 10.0, size=n)
+            while np.any(x == 0.0):
+                zeros = x == 0.0
+                x[zeros] = rng.uniform(-10.0, 10.0, size=int(zeros.sum()))
+            fx = f(x)
+            for gi, m in enumerate(mats):
+                residual = float(np.abs(f(m @ x) - m @ fx).max())
+                worst = max(residual, worst)
+                if not residual <= tol:
+                    return False, worst, (t, gi, x, residual)
+    return True, worst, None

@@ -290,6 +290,60 @@ class TestPointwiseEquivariance:
         ).passed
 
 
+# ---------------------------------------------------------------------------
+# verify: one activation call per trial against one call per vector
+
+
+_VERIFY_ACTIVATIONS = {
+    "relu": relu(),
+    "tanh": tanh(),
+    "eta-plain": build_eta_activation(
+        2.0, random_eta_profile(2.0, np.random.default_rng(41)),
+        random_eta_profile(2.0, np.random.default_rng(42)),
+    ),
+    "eta-signed": build_eta_activation(
+        2.0, random_eta_profile(2.0, np.random.default_rng(43)), signed=True
+    ),
+}
+_DENSE = np.random.default_rng(44).standard_normal((3, 3))
+_VERIFY_GENERATORS = {
+    # monomial: a swap scaled by 2, a +-2 cycle, and a signed and a plain 3-cycle
+    "z2": [np.array([[0.0, 2.0], [0.5, 0.0]])],
+    "pm2-cycle": [np.array([[0.0, -0.5, 0.0], [0.0, 0.0, 2.0], [2.0, 0.0, 0.0]])],
+    "cycles": [np.eye(3)[[2, 0, 1]], np.eye(3)[[2, 0, 1]] * [[1.0], [1.0], [-1.0]]],
+    "cycle-then-scaled": [np.eye(3)[[2, 0, 1]], np.diag([2.0, 2.0, 2.0])],
+    "rot60": [np.array([[0.5, -np.sqrt(0.75)], [np.sqrt(0.75), 0.5]])],
+    "dense": [np.eye(3)[[1, 2, 0]], _DENSE],
+    # residuals near tol: a counterexample after some passing trials
+    "near-identity-2e-9": [np.eye(3)[[1, 2, 0]], np.eye(3) + 2e-9 * _DENSE],
+    "near-identity-5e-9": [np.eye(3)[[1, 2, 0]], np.eye(3) + 5e-9 * _DENSE],
+    # 1e308 * x overflows: the residual is inf - inf = NaN
+    "nan": [np.array([[0.0, 1e308], [1.0, 0.0]])],
+}
+
+
+@pytest.mark.parametrize("gens", sorted(_VERIFY_GENERATORS))
+@pytest.mark.parametrize("name", sorted(_VERIFY_ACTIVATIONS))
+def test_verify_matches_one_call_per_vector_with_one_call_per_trial(name, gens):
+    f, mats = _VERIFY_ACTIVATIONS[name], _VERIFY_GENERATORS[gens]
+    calls = []
+    counted = custom(name, lambda x: calls.append(x.shape) or f(x))
+    report = verify_pointwise_equivariance(counted, mats, trials=40, tol=1e-8, seed=7)
+    passed, worst, ce = _oracles.verify_one_vector_at_a_time(f, mats, 40, 1e-8, 7)
+    assert report.passed is passed
+    assert np.float64(report.worst_residual).tobytes() == np.float64(worst).tobytes()
+    if passed:
+        assert report.counterexample is None
+    else:
+        got = report.counterexample
+        assert (got.trial, got.generator) == ce[:2]
+        assert got.x.tobytes() == ce[2].tobytes()
+        assert np.float64(got.residual).tobytes() == np.float64(ce[3]).tobytes()
+    n = mats[0].shape[0]
+    trials = 40 if passed else ce[0] + 1
+    assert calls == [(1 + len(mats), n)] * trials
+
+
 class TestGridAndExport:
     def test_linear_grid_straddling_zero_contains_exact_zero(self):
         grid = sample_grid(-1.0, 1.0, 10)  # even count: no natural 0.0 point

@@ -330,6 +330,20 @@ class TestExportActivationCommand:
         assert result.returncode == 0
         assert result.stdout.splitlines()[1] == "3,3.75"
 
+    def test_value_past_the_float_range_is_inf_without_warning(self, main_cli, tmp_path):
+        # 1e308 = 2**1023 * 1.11 and eta(1.11) = 3.34: b**n * eta(y) passes the float range
+        profile = tmp_path / "big.json"
+        profile.write_text(json.dumps({"b": 2.0, "etaPlus": [[1, 3], [2, 6]]}))
+        result = main_cli(
+            "export-activation",
+            "--eta-file", str(profile),
+            "--grid-min", "1", "--grid-max", "1e308", "--grid-count", "2",
+            "--grid-spacing", "log",
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0, "x,f_x\n1,3\n1e+308,inf\n", ""
+        )
+
     def test_b_flag_conflict_is_parse_error(self, main_cli, tmp_path):
         profile = self._bump_profile(tmp_path)
         result = main_cli(

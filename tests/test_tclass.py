@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from conftest import rotation, s4_at_scale, spec_of
+from equichar.core import DEFAULT_CLOSURE_CAP, DEFAULT_TOL
 from equichar import (
     ActivationFamily,
     DimensionTooLargeError,
@@ -395,6 +396,161 @@ def test_dedup_matches_sequential_rule_on_wide_clusters():
         gaps = rng.choice([0.0, 0.3, 0.6, 1.0, 1.2, 4.0], size=rng.integers(1, 80)) * tol
         values = np.sort(rng.uniform(-2.0, 2.0) + np.cumsum(gaps))
         assert tclass._dedup_with_tol(values, tol) == _oracles.dedup_with_tol(values.tolist(), tol)
+
+
+def _unimodular(rng, k: int) -> np.ndarray:
+    """A seeded integer matrix of determinant +-1 and its integer inverse."""
+    u = np.eye(k)
+    for _ in range(2 * k):
+        i, j = rng.choice(k, size=2, replace=False)
+        u[i] += rng.choice([-1.0, 1.0]) * u[j]
+    return u, np.round(np.linalg.inv(u))
+
+
+# torsion of GL(2, Z) off the monomial matrices, and the swap
+GL2Z = {
+    "order2": np.array([[1.0, 1.0], [0.0, -1.0]]),  # T: {-1, 1, 2}, SignedPowersOfB
+    "order3": np.array([[0.0, -1.0], [1.0, -1.0]]),  # T: {-1, 1}, PlusMinusOne
+    "order4": np.array([[1.0, 1.0], [-2.0, -1.0]]),
+    "order6": np.array([[1.0, -1.0], [1.0, 0.0]]),
+    "swap": np.array([[0.0, 1.0], [1.0, 0.0]]),
+}
+# an integer conjugate of S_3 whose generators give SignedPowersOfB (T: {-1, 1, 2})
+# while its closure's subset sums add 3 and give Dense
+S3_INTEGER = (
+    np.array([[-1.0, 1.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    np.array([[0.0, 0.0, 1.0], [2.0, -1.0, 0.0], [-1.0, 1.0, 1.0]]),
+)
+
+
+def _closure_corpus():
+    """(name, spec, cap): conjugated S_k and skewed rotations, GL(2, Z) torsion
+    and its integer conjugates, S_4 at growing scale (the character note from
+    2e3 on), and generators whose closure runs to the cap."""
+    rng = np.random.default_rng(33)
+    cap = DEFAULT_CLOSURE_CAP
+    corpus = []
+    for k, draws in ((3, 3), (4, 3), (5, 3), (6, 1)):
+        perms = [np.eye(k)[:, [1, 0, *range(2, k)]], np.eye(k)[:, np.roll(np.arange(k), 1)]]
+        for d in range(draws):
+            v = np.ones(k) / np.sqrt(k)
+            v[0] -= 1.0
+            h = np.eye(k) - 2.0 * np.outer(v, v) / (v @ v)  # swaps ones/sqrt(k) and e_0
+            block = np.eye(k)
+            block[1:, 1:] = np.linalg.qr(rng.standard_normal((k - 1, k - 1)))[0]
+            conjugators = {
+                "orthogonal": np.linalg.qr(rng.standard_normal((k, k)))[0],
+                "ones-fixing": h @ block @ h,
+                "skewed": rng.standard_normal((k, k)) + k * np.eye(k),
+                "diagonal": np.diag(rng.uniform(0.5, 2.0, k)),
+            }
+            for how, t in conjugators.items():
+                gens = [t @ p @ np.linalg.inv(t) for p in perms]
+                corpus.append((f"s{k}-{how}-{d}", spec_of("s", *gens), cap))
+    for m in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 24, 60, 120, 360):
+        for d in range(2):
+            j = rng.choice([j for j in range(1, m) if np.gcd(j, m) == 1])
+            a = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
+            gen = a @ rotation(2 * np.pi * j / m) @ np.linalg.inv(a)
+            corpus.append((f"c{m}-{d}", spec_of("c", gen), cap))
+    groups = {name: [g] for name, g in GL2Z.items() if name != "swap"}
+    groups["d3"] = [GL2Z["order3"], GL2Z["swap"]]
+    groups["d6"] = [GL2Z["order6"], GL2Z["swap"]]
+    # infinite: the product [[0, -1], [-1, -1]] has eigenvalues off the unit circle
+    groups["order4-monomial-and-order2"] = [np.array([[0.0, 1.0], [-1.0, 0.0]]), GL2Z["order2"]]
+    for name, gens in groups.items():
+        corpus.append((f"gl2z-{name}", spec_of(name, *gens), 1000))
+        for d in range(2):
+            u, u_inv = _unimodular(rng, 2)
+            corpus.append((f"gl2z-{name}-{d}", spec_of(name, *[u @ g @ u_inv for g in gens]), 1000))
+    corpus.append(("s3-integer", spec_of("s3", *S3_INTEGER), cap))
+    s3 = [np.eye(3)[:, [1, 0, 2]], np.eye(3)[:, [1, 2, 0]]]
+    for d in range(6):
+        u, u_inv = _unimodular(rng, 3)
+        corpus.append((f"s3-integer-{d}", spec_of("s3", *[u @ p @ u_inv for p in s3]), cap))
+    for scale in (1e1, 1e2, 1e3, 2e3, 3e3):
+        corpus.append((f"s4-scale-{scale:g}", spec_of("s4", *s4_at_scale(scale)), cap))
+    corpus.append(("shear", spec_of("shear", np.array([[1.0, 1.0], [0.0, 1.0]])), 500))
+    corpus.append(("rot1", spec_of("rot1", rotation(1.0)), 500))
+    a = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
+    corpus.append(("skewed-rot1", spec_of("rot", a @ rotation(1.0) @ np.linalg.inv(a)), 300))
+    corpus.append(("half-rot60", spec_of("half", 0.5 * rotation(np.pi / 3)), cap))
+    return corpus
+
+
+CLOSURE_CORPUS = _closure_corpus()
+
+
+def _corpus_spec(name: str):
+    return next(spec for case, spec, _ in CLOSURE_CORPUS if case == name)
+
+
+@pytest.mark.parametrize("name, spec, cap", CLOSURE_CORPUS, ids=[c[0] for c in CLOSURE_CORPUS])
+def test_classification_matches_subset_sums_over_the_whole_closure(name, spec, cap):
+    assert classify_group_detailed(spec, cap=cap) == _oracles.classify_over_closure(
+        spec, DEFAULT_TOL, cap
+    )
+
+
+def _spy_subset_sums(monkeypatch) -> list:
+    """The matrix lists ``classify_group_detailed`` passes to ``subset_sum_generators``."""
+    calls = []
+    real = tclass.subset_sum_generators
+
+    def spy(mats, tol=DEFAULT_TOL):
+        calls.append(mats)
+        return real(mats, tol)
+
+    monkeypatch.setattr(tclass, "subset_sum_generators", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["s4-orthogonal-0", "s6-skewed-0", "c360-0", "gl2z-order4"])
+def test_generators_that_decide_dense_skip_the_closure_subset_sums(name, monkeypatch):
+    spec = _corpus_spec(name)
+    assert close_group(spec).complete
+    calls = _spy_subset_sums(monkeypatch)
+    c, notes = classify_group_detailed(spec)
+    assert c.tclass.kind is SubgroupKind.DENSE and notes == []
+    assert len(calls) == 1 and calls[0] is spec.generators
+
+
+@pytest.mark.parametrize("name, generated, closed", [
+    ("gl2z-order2", SubgroupKind.SIGNED_POWERS_OF_B, SubgroupKind.SIGNED_POWERS_OF_B),
+    ("gl2z-order3", SubgroupKind.PLUS_MINUS_ONE, SubgroupKind.PLUS_MINUS_ONE),
+    ("gl2z-order6", SubgroupKind.PLUS_MINUS_ONE, SubgroupKind.PLUS_MINUS_ONE),
+    ("s3-integer", SubgroupKind.SIGNED_POWERS_OF_B, SubgroupKind.DENSE),
+])
+def test_generators_short_of_dense_take_the_closure_subset_sums(
+    name, generated, closed, monkeypatch
+):
+    spec = _corpus_spec(name)
+    assert classify_subgroup(subset_sum_generators(spec.generators)).kind is generated
+    closure = close_group(spec)
+    calls = _spy_subset_sums(monkeypatch)
+    c, notes = classify_group_detailed(spec)
+    assert c.tclass.kind is closed and notes == []
+    assert len(calls) == 2 and calls[0] is spec.generators
+    np.testing.assert_array_equal(calls[1], closure.elements)
+
+
+def test_dense_positive_generators_take_the_closure_subset_sums(monkeypatch):
+    """A finite non-monomial generator always has a negative entry (a non-negative
+    matrix with a non-negative inverse is monomial), so the generators' class is
+    turned into DensePositive here: the closure can still add negative values."""
+    spec = _corpus_spec("s4-orthogonal-0")
+    real = tclass.classify_subgroup
+    seen = []
+
+    def first_dense_positive(gens, tol=DEFAULT_TOL):
+        seen.append(gens)
+        return SubgroupClass(SubgroupKind.DENSE_POSITIVE) if len(seen) == 1 else real(gens, tol)
+
+    monkeypatch.setattr(tclass, "classify_subgroup", first_dense_positive)
+    calls = _spy_subset_sums(monkeypatch)
+    c, _ = classify_group_detailed(spec)
+    assert c.tclass.kind is SubgroupKind.DENSE
+    assert len(calls) == 2 and len(calls[1]) == 24
 
 
 class TestMaximalGroupLabel:
