@@ -9,8 +9,6 @@ comparisons use a single absolute tolerance.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,60 +136,85 @@ def close_group(
 
     Starts from the identity and right-multiplies by generators in list
     order, deduplicating within ``tol``.  ``complete=False`` means the search
-    hit ``cap`` and the group may be infinite.  For invertible matrices a
-    stabilized closure under products is automatically closed under inverses,
-    since every element then has finite order.
+    hit ``cap`` (at least 1) and the group may be infinite.  For invertible
+    matrices a stabilized closure under products is automatically closed
+    under inverses, since every element then has finite order.
 
     The elements live in one growing (m, n, n) array in discovery order; the
-    breadth-first queue is the part of it after ``head``.  A candidate is
-    compared only with the elements whose projections onto one fixed random
-    vector ``r`` lie in its window, which holds every element within ``tol``
-    of it, so the answer is the full scan's.  A candidate with an infinite or
-    NaN entry is within ``tol`` of no element, so it is always new.
+    breadth-first queue is the part of it after ``head``.  Each step forms a
+    block of candidates: the queue's next elements (at most ``cap`` products,
+    or one element) times every generator, in (element, generator) order.
+    With one generator it is the next run of powers instead, as many as there
+    are elements, up to the first repeat.  A candidate is new unless it lies
+    within ``tol`` of an element or of a kept earlier candidate of its block.
+    Only pairs whose projections onto one fixed random vector ``r`` lie within
+    a window that holds every pair within ``tol`` are compared, so the answer
+    is the full scan's; a candidate with an inf or NaN entry is always new.
     """
-    r = np.random.default_rng(0).standard_normal(spec.n * spec.n)
+    if cap < 1:
+        raise ValueError(f"closure cap must be at least 1, got {cap}")
+    n = spec.n
+    r = np.random.default_rng(0).standard_normal(n * n)
     r /= 2.0 * np.abs(r).sum()  # |r|_1 = 1/2: no finite matrix projects past the float range
     # Two matrices within tol in every entry project within tol*|r|_1 of each
     # other.  A float dot product of length N = n*n is off by at most about
-    # N*eps/2*reach*|r|_1, where reach bounds every entry involved.  The
-    # window doubles both terms, which also covers the rounding of its bounds.
+    # N*eps/2*reach*|r|_1, where reach bounds every entry involved: for such a
+    # pair, the candidate's largest |entry| plus tol.  The window doubles both
+    # terms, which also covers the rounding of its bounds.
     rounding = (r.size + 1) * np.finfo(float).eps
     r1 = float(np.abs(r).sum())
-    gens = np.array(spec.generators).reshape(-1, spec.n, spec.n)
-    found = np.empty((16, spec.n, spec.n))
-    found[0] = np.eye(spec.n)
-    keys = [float(found[0].ravel() @ r)]  # projections of the finite elements, sorted
-    order = [0]  # index into found of each key
-    reach = 1.0  # largest |entry| of a finite candidate so far
-    size, head, complete = 1, 0, True
-    while head < size and complete:
-        products = found[head] @ gens
-        head += 1
-        peaks = np.abs(products).max(axis=(1, 2)).tolist()
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite key goes unused
-            projections = (products.reshape(len(gens), -1) @ r).tolist()
-        for candidate, peak, key in zip(products, peaks, projections):
-            finite = math.isfinite(peak)  # a non-finite candidate is within tol of nothing
-            if finite:
-                reach = max(reach, peak)
-                half = 2.0 * r1 * (tol + rounding * reach)
-                near = order[bisect_left(keys, key - half):bisect_right(keys, key + half)]
-                if len(near) == 1:  # the usual case, compared without a fancy-index copy
-                    if np.abs(found[near[0]] - candidate).max() <= tol:
-                        continue
-                elif near and np.abs(found[near] - candidate).max(axis=(1, 2)).min() <= tol:
-                    continue
-            if size >= cap:
-                complete = False
-                break
-            if size == len(found):
-                found = np.concatenate([found, np.empty_like(found)])
-            found[size] = candidate
-            if finite:
-                at = bisect_left(keys, key)
-                keys.insert(at, key)
-                order.insert(at, size)
-            size += 1
+    gens = np.array(spec.generators, dtype=float).reshape(-1, n, n)
+    found = np.empty((16, n, n))
+    found[0] = np.eye(n)
+    # sorted projections of the finite elements, and their indices in found
+    keys, rows = found[:1].reshape(1, -1) @ r, np.zeros(1, int)
+    size, head, complete, one = 1, 0, True, len(gens) == 1
+    while len(gens) and head < size and complete:
+        stop = size if one else min(size, head + max(1, cap // len(gens)))
+        k = min(size, cap - size + 1) if one else (stop - head) * len(gens)
+        if size + k > len(found):
+            found = np.concatenate([found, np.empty((size + k, n, n))])
+        if one:  # the queue is the newest element: form the next run of its powers
+            for j in range(size, size + k):
+                np.matmul(found[j - 1], gens[0], out=found[j])
+        else:
+            out = found[size:size + k].reshape(-1, len(gens), n, n)
+            np.matmul(found[head:stop, None], gens, out=out)
+        head, block = stop, found[size:size + k]
+        peaks = np.abs(block).max(axis=(1, 2))
+        live = np.flatnonzero(np.isfinite(peaks))  # a non-finite candidate is within tol of nothing
+        proj = block[live].reshape(len(live), -1) @ r
+        by_proj = np.argsort(proj, kind="stable")
+        s, own = proj[by_proj], size + live[by_proj]
+        half = 2.0 * r1 * (tol + rounding * (peaks[own - size] + tol))
+        # Pair each live candidate with the elements in its window, then with the block's
+        # later candidates in its window: both are spans [starts, stops) of pool.
+        pool, owner = np.concatenate([rows, own]), np.concatenate([own, own])
+        starts = np.concatenate([np.searchsorted(keys, s - half),
+                                 len(keys) + 1 + np.arange(len(s))])
+        stops = np.concatenate([np.searchsorted(keys, s + half, "right"),
+                                len(keys) + np.searchsorted(s, s + half, "right")])
+        ends, near = np.cumsum(stops - starts), [np.empty((2, 0), int)]
+        for q in range(0, int(ends[-1:].sum()), len(found)):  # at most len(found) pairs at a time
+            q = np.arange(q, min(q + len(found), ends[-1]))
+            j = np.searchsorted(ends, q, "right")
+            pair = np.sort([owner[j], pool[stops[j] - ends[j] + q]], axis=0)
+            near.append(pair[:, np.abs(found[pair[0]] - found[pair[1]]).max(axis=(1, 2)) <= tol])
+        near, keep = np.concatenate(near, axis=1), [True] * k
+        for a, b in near[:, np.argsort(near[1], kind="stable")].T.tolist():
+            if a < size or keep[a - size]:  # the queue meets a before b, and a was kept
+                keep[b - size] = False
+        if one and not all(keep):  # a repeated power completes the cyclic group
+            head = size + keep.index(False)
+            keep[head - size:] = [False] * (size + k - head)
+        rank = np.cumsum(keep)
+        complete, keep = size + int(rank[-1]) <= cap, np.array(keep) & (rank <= cap - size)
+        new, kept = np.flatnonzero(keep), keep[live]
+        found[size:size + len(new)] = found[size + new]
+        keys = np.concatenate([keys, proj[kept]])
+        rows = np.concatenate([rows, size + rank[live[kept]] - 1])
+        by_key = np.argsort(keys, kind="stable")
+        keys, rows, size = keys[by_key], rows[by_key], size + len(new)
     return ClosureResult(list(found[:size]), complete)
 
 

@@ -198,7 +198,12 @@ def _closure_corpus():
     duplicates survive the tol test (67 elements at 3e3), a generator whose
     powers overflow to inf and then NaN, an irrational rotation run to a cap
     of 2,000, and two generators within tol of each other whose entries near
-    1e8 make their projections round apart by more than tol*|r|_1.
+    1e8 make their projections round apart by more than tol*|r|_1.  Then the
+    cases that stop a closure inside a block: S_4 and S_5 conjugates at caps
+    inside a breadth-first layer, C_m at caps m-1, m and m+1, the identity
+    alone and beside a rotation, a repeated generator, two generators within
+    tol of each other at unit scale, a generator whose square repeats the
+    identity but whose cube is new, and the empty list (a (0, 2, 2) array).
     """
     rng = np.random.default_rng(8)
     corpus = []
@@ -215,19 +220,76 @@ def _closure_corpus():
     corpus.append(([a @ rotation(rng.uniform(0.5, 2.5)) @ np.linalg.inv(a)], 2000))
     big = np.array([[1e8, 1e8], [1e8, 0.4265]])
     corpus.append(([big, big + np.diag([0.0, 0.9e-9])], 3))
+    for k in (4, 5):
+        corpus += [(_conjugated_symmetric(rng, k), cap) for cap in (2, 7, 23, 24, 25, 119)]
+    for m in (5, 12):
+        corpus += [([_skewed(rng, 2 * np.pi / m)], cap) for cap in (m - 1, m, m + 1)]
+    c6 = _skewed(rng, np.pi / 3)
+    corpus += [([np.eye(2)], 10), ([np.eye(2), c6], 20), ([c6, np.eye(2)], 20), ([c6, c6], 20)]
+    corpus.append(([c6, c6 + np.array([[0.0, 0.6e-9], [0.0, 0.0]])], 20))
+    t = np.diag([1e3, 1.0]) @ rotation(0.7)
+    flip, shift = t @ np.diag([-1.0, 1.0]) @ np.linalg.inv(t), np.array([[0.0, 0.0], [1.0, 0.0]])
+    nudge = 0.5e-9 / np.abs(flip @ shift + shift @ flip).max()
+    corpus.append(([flip + nudge * shift], 50))  # g @ g is I within tol, g @ g @ g is 5e-7 off g
+    corpus.append((np.empty((0, 2, 2)), 10))
     return corpus
 
 
-@pytest.mark.parametrize("case", range(len(_closure_corpus())))
-def test_close_group_matches_reference_bfs(case):
-    gens, cap = _closure_corpus()[case]
+def _conjugated_symmetric(rng, k: int) -> list[np.ndarray]:
+    """A transposition and a k-cycle, conjugated by a seeded non-orthogonal matrix."""
+    t = rng.standard_normal((k, k)) + 2.0 * np.eye(k)
+    perms = [np.eye(k)[:, [1, 0, *range(2, k)]], np.eye(k)[:, np.roll(np.arange(k), 1)]]
+    return [t @ p @ np.linalg.inv(t) for p in perms]
+
+
+def _skewed(rng, angle: float) -> np.ndarray:
+    a = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
+    return a @ rotation(angle) @ np.linalg.inv(a)
+
+
+def _assert_matches_reference(gens, cap: int) -> None:
+    n = np.shape(gens)[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # the overflowing generator
-        result = close_group(spec_of("corpus", *gens), cap=cap)
-        elements, complete = _oracles.bfs_matrix_closure(gens, gens[0].shape[0], cap, 1e-9)
+        result = close_group(GroupSpec("corpus", n, tuple(gens)), cap=cap)
+        elements, complete = _oracles.bfs_matrix_closure(gens, n, cap, 1e-9)
     assert result.complete == complete
     assert len(result) == len(elements)
     for got, want in zip(result.elements, elements):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", range(len(_closure_corpus())))
+def test_close_group_matches_reference_bfs(case):
+    _assert_matches_reference(*_closure_corpus()[case])
+
+
+def test_close_group_matches_reference_bfs_on_random_finite_groups():
+    rng = np.random.default_rng(17)
+    for _ in range(120):
+        if rng.random() < 0.5:
+            gens, order = _conjugated_symmetric(rng, int(rng.integers(3, 6))), None
+        else:
+            m = int(rng.integers(1, 13))
+            gens, order = [_skewed(rng, 2 * np.pi * rng.integers(1, m + 1) / m)], m
+        _assert_matches_reference(gens, int(rng.integers(1, 2 * (order or 24) + 2)))
+
+
+def test_trivial_group_from_no_generators():
+    result = close_group(GroupSpec("e", 2, ()))
+    assert result.complete
+    np.testing.assert_array_equal(np.array(result.elements), [np.eye(2)])
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_close_group_refuses_a_cap_below_one(cap):
+    with pytest.raises(ValueError, match="cap"):
+        close_group(spec_of("swap", np.array([[0.0, 1.0], [1.0, 0.0]])), cap=cap)
+
+
+def test_cap_of_one_keeps_only_the_identity():
+    result = close_group(spec_of("swap", np.array([[0.0, 1.0], [1.0, 0.0]])), cap=1)
+    assert not result.complete
+    np.testing.assert_array_equal(np.array(result.elements), [np.eye(2)])
 
 
 class TestIsUnitRow:
