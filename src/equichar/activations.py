@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, as_matrix
 from .errors import EndpointViolationError, NonPositiveInputError
+from .tclass import FamilyKind
 
 DEFAULT_PROFILE_SAMPLES = 17
 FLOAT_FORMAT = "%.17g"  # 17 significant digits: every double round-trips
@@ -258,8 +259,6 @@ def check_family_membership(
     a least-squares fit and report the worst fit residual.  A NaN residual
     fails, as in ``verify_pointwise_equivariance``.
     """
-    from .tclass import FamilyKind  # local import to avoid a module cycle
-
     xs = default_membership_grid() if grid is None else np.asarray(grid, dtype=float)
     if np.any(xs <= 0):
         raise ValueError("grid must contain positive magnitudes")

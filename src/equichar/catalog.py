@@ -8,10 +8,8 @@ def cycle_perm(n: int) -> tuple[int, ...]:
     return tuple((i + 1) % n for i in range(n))
 
 
-def transposition_perm(n: int, a: int = 0, b: int = 1) -> tuple[int, ...]:
-    images = list(range(n))
-    images[a], images[b] = images[b], images[a]
-    return tuple(images)
+def transposition_perm(n: int) -> tuple[int, ...]:
+    return (1, 0, *range(2, n))
 
 
 def symmetric_action_generators(n: int) -> tuple[tuple[int, ...], ...]:

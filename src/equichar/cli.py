@@ -50,7 +50,13 @@ from .errors import (
     UnboundedGroupError,
 )
 from .normalize import signed_normalize
-from .repspaces import PermAction, _coordinate_arrays, equivariant_basis, tensor_action
+from .repspaces import (
+    MAX_GRID_POINTS,
+    PermAction,
+    _coordinate_arrays,
+    equivariant_basis,
+    tensor_action,
+)
 from .tclass import SubgroupKind, classify_group_detailed, maximal_family
 
 SCHEMA_VERSION = "equichar-report-v1"
@@ -436,6 +442,8 @@ def _cmd_verify(args) -> tuple[str, int]:
 def _cmd_export_activation(args) -> tuple[str, int]:
     tol = _resolve_tol(args.tol, None)
     activation = _load_eta_activation(args.eta_file, args.b, args.signed, tol)
+    if args.grid_count > MAX_GRID_POINTS:
+        raise SizeExceededError(f"grid has {args.grid_count} points (limit {MAX_GRID_POINTS})")
     try:
         grid = sample_grid(args.grid_min, args.grid_max, args.grid_count, args.grid_spacing)
     except ValueError as exc:

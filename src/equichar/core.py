@@ -60,21 +60,31 @@ class MonomialForm:
         return out
 
 
+def monomial_arrays(stack, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
+    """Factor every matrix of a (k, n, n) stack as permutation plus per-column coefficients.
+
+    Returns ``(monomial, perm, coeffs)`` of shapes (k,), (k, n) and (k, n).
+    Matrix j is monomial iff every row and column has exactly one entry of
+    magnitude above ``tol``; then ``m[j] @ e_i == coeffs[j, i] * e_{perm[j, i]}``.
+    The rows of ``perm`` and ``coeffs`` for the other matrices mean nothing.
+    """
+    stack = np.asarray(stack, dtype=float)
+    big = (stack > tol) | (stack < -tol)  # |stack| > tol without a float temporary
+    monomial = (big.sum(axis=1) == 1).all(axis=1) & (big.sum(axis=2) == 1).all(axis=1)
+    perm = np.argmax(big, axis=1)  # the row of each column's entry
+    return monomial, perm, np.take_along_axis(stack, perm[:, None], axis=1)[:, 0]
+
+
 def monomial_decompose(m, tol: float = DEFAULT_TOL) -> MonomialForm | None:
-    """Factor ``m`` as permutation plus per-column coefficients.
+    """Factor ``m`` as permutation plus per-column coefficients (see ``monomial_arrays``).
 
     Returns ``None`` when some row or column does not have exactly one entry
     of magnitude above ``tol`` (a classification outcome, not an error).
     """
-    a = as_matrix(m)
-    n = a.shape[0]
-    big = np.abs(a) > tol
-    if not np.all(big.sum(axis=0) == 1) or not np.all(big.sum(axis=1) == 1):
+    monomial, perm, coeffs = monomial_arrays(as_matrix(m)[None], tol)
+    if not monomial[0]:
         return None
-    rows = np.argmax(big, axis=0)
-    perm = tuple(int(r) for r in rows)
-    coeffs = tuple(float(a[perm[i], i]) for i in range(n))
-    return MonomialForm(perm, coeffs)
+    return MonomialForm(tuple(perm[0].tolist()), tuple(coeffs[0].tolist()))
 
 
 @dataclass
@@ -215,7 +225,7 @@ def close_group(
         rows = np.concatenate([rows, size + rank[live[kept]] - 1])
         by_key = np.argsort(keys, kind="stable")
         keys, rows, size = keys[by_key], rows[by_key], size + len(new)
-    return ClosureResult(list(found[:size]), complete)
+    return ClosureResult(list(found[:size].copy()), complete)  # no view keeps the slack alive
 
 
 def is_unit_row(m, tol: float = DEFAULT_TOL) -> bool:

@@ -13,12 +13,11 @@ groups where closure enumeration cannot terminate.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, GroupSpec, monomial_decompose
+from .core import DEFAULT_TOL, GroupSpec, monomial_arrays
 from .errors import NotMonomialError, UnboundedGroupError
 
 
@@ -54,52 +53,39 @@ def positive_scaling(spec: GroupSpec, tol: float = DEFAULT_TOL) -> ScalingResult
     invariant under that gauge choice.
     """
     n = spec.n
-    forms = []
-    for k, g in enumerate(spec.generators):
-        form = monomial_decompose(g, tol)
-        if form is None:
-            raise NotMonomialError(f"generator {k + 1} is not monomial")
-        forms.append(form)
-
-    # edges: (generator, i, perm(i), log|coeff(i)|)
-    edges = [
-        (gi, i, form.perm[i], math.log(abs(form.coeffs[i])))
-        for gi, form in enumerate(forms)
-        for i in range(n)
-    ]
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for _, i, j, w in edges:
-        adjacency[i].append((j, -w))  # log d[j] = log d[i] - w
-        adjacency[j].append((i, +w))
-
-    log_d = np.full(n, np.nan)
-    for root in range(n):
-        if not np.isnan(log_d[root]):
-            continue
-        log_d[root] = 0.0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for other, delta in adjacency[v]:
-                if np.isnan(log_d[other]):
-                    log_d[other] = log_d[v] + delta
-                    queue.append(other)
-
-    for gi, i, j, w in edges:
-        mismatch = abs(log_d[j] - log_d[i] + w)
-        if mismatch > tol:
-            raise UnboundedGroupError(
-                _edge_description(gi, i, j, w, mismatch),
-                generator=gi,
-                source=i,
-                target=j,
-                log_weight=w,
-                mismatch=mismatch,
-            )
-
+    monomial, perm, coeffs = monomial_arrays(np.reshape(spec.generators, (-1, n, n)), tol)
+    if not monomial.all():
+        raise NotMonomialError(f"generator {int(np.argmin(monomial)) + 1} is not monomial")
+    # each generator's edges i -> perm(i), w = log|coeff(i)|: log d[perm(i)] = log d[i] - w
+    w = np.array([math.log(abs(c)) for c in coeffs.ravel().tolist()]).reshape(perm.shape)
+    walks = list(zip(perm.tolist(), np.argsort(perm, axis=1).tolist(), w.tolist()))
+    log_d = [None] * n
+    for root in range(n):  # breadth-first over each component, edges in (generator, index) order
+        if log_d[root] is None:
+            log_d[root], queue = 0.0, [root]
+            for v in queue:
+                for p, q, wg in walks:  # v's edges v -> p[v] and q[v] -> v, by index
+                    steps = [(p[v], log_d[v] - wg[v]), (q[v], log_d[v] + wg[q[v]])]
+                    for other, value in steps if v <= q[v] else steps[::-1]:
+                        if log_d[other] is None:
+                            log_d[other] = value
+                            queue.append(other)
+    log_d = np.array(log_d)
+    mismatch = np.abs(log_d[perm] - log_d + w)
+    bad = np.flatnonzero(mismatch > tol)
+    if len(bad):  # the first inconsistent edge in (generator, index) order
+        gi, i = divmod(int(bad[0]), n)
+        j, wi = int(perm[gi, i]), float(w[gi, i])
+        raise UnboundedGroupError(
+            _edge_description(gi, i, j, wi, mismatch[gi, i]),
+            generator=gi,
+            source=i,
+            target=j,
+            log_weight=wi,
+            mismatch=mismatch[gi, i],
+        )
     d = np.exp(log_d)
-    normalized = [(d[:, None] * g) / d[None, :] for g in spec.generators]
-    return ScalingResult(d, normalized)
+    return ScalingResult(d, [(d[:, None] * g) / d[None, :] for g in spec.generators])
 
 
 # The rescaling reads only coefficient magnitudes and the conjugates keep each

@@ -30,6 +30,7 @@ from .errors import (
 )
 
 MAX_TENSOR_POINTS = 1_000_000
+MAX_GRID_POINTS = 1_000_000  # export-activation rows
 MAX_BASIS_PAIRS = 10_000_000
 
 

@@ -25,7 +25,7 @@ from .core import (
     GroupSpec,
     close_group,
     is_unit_row,
-    monomial_decompose,
+    monomial_arrays,
 )
 from .errors import DimensionTooLargeError, ShapeMismatchError
 
@@ -180,10 +180,8 @@ def _sorted_subset_sums(mats: Sequence, tol: float) -> np.ndarray:
     if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite")
     n = stack.shape[1]
-    big = (stack > tol) | (stack < -tol)  # |stack| > tol: the counts of monomial_decompose
-    monomial = (big.sum(axis=1) == 1).all(axis=1) & (big.sum(axis=2) == 1).all(axis=1)
-    parts = [stack[big & monomial[:, None, None]]]
-    rest = stack[~monomial]
+    monomial, _, coeffs = monomial_arrays(stack, tol)
+    parts, rest = [coeffs[monomial].ravel()], stack[~monomial]
     if len(rest):
         if n > MAX_SUBSET_DIM:
             raise DimensionTooLargeError(
@@ -290,11 +288,11 @@ def classify_group_detailed(
     closure is still taken, because it decides the notes.
     """
     notes: list[str] = []
-    forms = [monomial_decompose(g, tol) for g in spec.generators]
-    monomial = all(f is not None for f in forms)
+    monomials, _, coeffs = monomial_arrays(np.reshape(spec.generators, (-1, spec.n, spec.n)), tol)
+    monomial = bool(monomials.all())
     unit_row = all(is_unit_row(g, tol) for g in spec.generators)
     if monomial:
-        non_negative = all(c > 0 for f in forms for c in f.coeffs)
+        non_negative = bool((coeffs > 0).all())
         mats = spec.generators or (np.eye(spec.n),)  # the identity for no generators
         tclass = classify_subgroup(subset_sum_generators(mats, tol), tol)
     else:

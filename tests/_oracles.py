@@ -6,8 +6,10 @@ fixed-space counts come from explicit averaging over the enumerated group,
 matrix products are walked directly when probing boundedness, row subset
 sums are taken one matrix at a time and thinned one value at a time,
 reports and CSV tables are rendered one value at a time, a group's scalar
-subgroup is always computed from the subset sums of its whole closure, and
-an equivariance check evaluates the activation on one vector at a time.
+subgroup is always computed from the subset sums of its whole closure, an
+equivariance check evaluates the activation on one vector at a time, and a
+positive rescaling walks an explicit edge list with adjacency lists and a
+deque.
 """
 
 from __future__ import annotations
@@ -15,10 +17,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import deque
 
 import numpy as np
 
 from equichar.core import close_group, is_unit_row, monomial_decompose
+from equichar.errors import NotMonomialError, UnboundedGroupError
+from equichar.normalize import ScalingResult, _edge_description
 from equichar.tclass import (
     GroupClassification,
     _character_defect,
@@ -290,3 +295,54 @@ def verify_one_vector_at_a_time(f, mats, trials: int, tol: float, seed: int):
                 if not residual <= tol:
                     return False, worst, (t, gi, x, residual)
     return True, worst, None
+
+
+def positive_scaling_by_edges(spec, tol: float):
+    """``positive_scaling(spec, tol)`` from an explicit edge list.
+
+    One ``MonomialForm`` per generator; the edges (generator, i, perm(i),
+    log|coeff(i)|) in (generator, index) order fill adjacency lists, a
+    deque walks each component breadth-first from its least index, and the
+    first edge whose potentials differ by more than ``tol`` is reported.
+    """
+    n = spec.n
+    forms = []
+    for k, g in enumerate(spec.generators):
+        form = monomial_decompose(g, tol)
+        if form is None:
+            raise NotMonomialError(f"generator {k + 1} is not monomial")
+        forms.append(form)
+    edges = [
+        (gi, i, form.perm[i], math.log(abs(form.coeffs[i])))
+        for gi, form in enumerate(forms)
+        for i in range(n)
+    ]
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for _, i, j, w in edges:
+        adjacency[i].append((j, -w))  # log d[j] = log d[i] - w
+        adjacency[j].append((i, +w))
+    log_d = np.full(n, np.nan)
+    for root in range(n):
+        if not np.isnan(log_d[root]):
+            continue
+        log_d[root] = 0.0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for other, delta in adjacency[v]:
+                if np.isnan(log_d[other]):
+                    log_d[other] = log_d[v] + delta
+                    queue.append(other)
+    for gi, i, j, w in edges:
+        mismatch = abs(log_d[j] - log_d[i] + w)
+        if mismatch > tol:
+            raise UnboundedGroupError(
+                _edge_description(gi, i, j, w, mismatch),
+                generator=gi,
+                source=i,
+                target=j,
+                log_weight=w,
+                mismatch=mismatch,
+            )
+    d = np.exp(log_d)
+    return ScalingResult(d, [(d[:, None] * g) / d[None, :] for g in spec.generators])

@@ -146,6 +146,14 @@ class TestNormalizeCommand:
         report = json.loads(main_cli("normalize", str(p_spec)).stdout)
         assert report["scaling"]["d"] == [1.0, 1.0, 1.0]
 
+    def test_no_generators_give_unit_scaling(self, main_cli, tmp_path):
+        spec = tmp_path / "e.json"
+        spec.write_text(json.dumps({"name": "e", "dimension": 3, "generators": []}))
+        result = main_cli("normalize", str(spec))
+        assert result.returncode == 0
+        report = json.loads(result.stdout)
+        assert report["scaling"] == {"d": [1.0, 1.0, 1.0], "normalizedGenerators": []}
+
     def test_unbounded_diagonal_exits_4_with_cycle(self, tmp_path):
         spec = write_spec(tmp_path / "d.json", "diag", [np.diag([2.0, 0.5])])
         result = run_cli("normalize", str(spec))
@@ -343,6 +351,27 @@ class TestExportActivationCommand:
         assert (result.returncode, result.stdout, result.stderr) == (
             0, "x,f_x\n1,3\n1e+308,inf\n", ""
         )
+
+    @pytest.mark.parametrize("count", ["1000001", "10000000000000"])
+    def test_grid_past_the_limit_exits_3(self, main_cli, tmp_path, count):
+        profile = self._bump_profile(tmp_path)
+        result = main_cli(
+            "export-activation",
+            "--eta-file", str(profile),
+            "--grid-min", "1", "--grid-max", "2", "--grid-count", count,
+        )
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr == f"error: grid has {count} points (limit 1000000)\n"
+
+    def test_benchmark_sized_grid_exports(self, main_cli, tmp_path):
+        profile = self._bump_profile(tmp_path)
+        result = main_cli(
+            "export-activation",
+            "--eta-file", str(profile),
+            "--grid-min", "-2", "--grid-max", "2", "--grid-count", "40001",
+        )
+        assert result.returncode == 0
+        assert len(result.stdout.splitlines()) == 40_002
 
     def test_b_flag_conflict_is_parse_error(self, main_cli, tmp_path):
         profile = self._bump_profile(tmp_path)

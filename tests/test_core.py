@@ -16,6 +16,7 @@ from equichar import (
     maximal_family,
     monomial_decompose,
 )
+from equichar.core import monomial_arrays
 
 
 class TestMonomialDecompose:
@@ -290,6 +291,37 @@ def test_cap_of_one_keeps_only_the_identity():
     result = close_group(spec_of("swap", np.array([[0.0, 1.0], [1.0, 0.0]])), cap=1)
     assert not result.complete
     np.testing.assert_array_equal(np.array(result.elements), [np.eye(2)])
+
+
+def test_stacked_decomposition_matches_one_matrix_at_a_time():
+    """Signed monomials with stray entries at exactly +-tol, one ulp above, or larger."""
+    rng, tol, n = np.random.default_rng(17), 1e-9, 5
+    strays = [tol, -tol, np.nextafter(tol, 1.0), -np.nextafter(tol, 1.0), 1e-12, 0.5]
+    stack = np.zeros((80, n, n))
+    for m in stack:
+        m[rng.permutation(n), np.arange(n)] = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 9, n)
+        for _ in range(int(rng.integers(0, 3))):
+            m[rng.integers(n), rng.integers(n)] = strays[int(rng.integers(len(strays)))]
+    stack[-5:] = rng.standard_normal((5, n, n))
+    monomial, perm, coeffs = monomial_arrays(stack, tol)
+    for j, m in enumerate(stack):
+        big = [[abs(x) > tol for x in row] for row in m.tolist()]
+        counts = [sum(row) for row in big] + [sum(col) for col in zip(*big)]
+        assert monomial[j] == (counts == [1] * (2 * n))
+        form = monomial_decompose(m, tol)
+        if monomial[j]:
+            assert form == MonomialForm(tuple(perm[j].tolist()), tuple(coeffs[j].tolist()))
+            assert [float(c).hex() for c in form.coeffs] == [c.hex() for c in coeffs[j].tolist()]
+        else:
+            assert form is None
+    assert 20 < monomial.sum() < 75
+    assert [a.shape for a in monomial_arrays(np.empty((0, 3, 3)))] == [(0,), (0, 3), (0, 3)]
+
+
+def test_closure_elements_share_one_exact_buffer():
+    result = close_group(GroupSpec("s4", 4, tuple(s4_at_scale(1.0))))
+    assert len({id(e.base) for e in result.elements}) == 1
+    assert result.elements[0].base.shape[0] == len(result) == 24
 
 
 class TestIsUnitRow:

@@ -5,6 +5,7 @@ import _oracles
 from conftest import spec_of
 from equichar import (
     FamilyKind,
+    GroupSpec,
     NotMonomialError,
     UnboundedGroupError,
     classify_group,
@@ -166,3 +167,54 @@ class TestBoundednessCrossCheck:
         assert growth[-1] > 1e3  # the product walk escapes any bound
         with pytest.raises(UnboundedGroupError):
             signed_normalize(spec_of("grow", *mats))
+
+
+def _scaling_outcome(scale, spec):
+    """What ``scale(spec)`` gives, with every float as its bits."""
+    try:
+        result = scale(spec)
+    except UnboundedGroupError as err:
+        return ("unbounded", err.description, err.generator, err.source, err.target,
+                float(err.log_weight).hex(), float(err.mismatch).hex())
+    except NotMonomialError as err:
+        return ("not monomial", str(err))
+    return ("scaled", result.d.tobytes(), [g.tobytes() for g in result.normalized_generators])
+
+
+def _random_monomial_list(rng, n, count):
+    """Signed permutations of blocks of indices (so several components, and fixed points
+    as self-loops) under one random positive diagonal, with identities and repeats; in
+    some lists one coefficient is scaled by a factor from 1 + 1e-12 to 3."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, int(rng.integers(0, 3))),
+                              replace=False)) if n > 1 else []
+    blocks = np.split(np.arange(n), cuts)
+    d = rng.uniform(0.25, 4.0, n)
+    gens = []
+    for _ in range(count):
+        roll = rng.random()
+        if gens and roll < 0.15:
+            gens.append(gens[int(rng.integers(len(gens)))].copy())
+        elif roll < 0.25:
+            gens.append(np.eye(n))
+        else:
+            g = np.zeros((n, n))
+            perm = np.concatenate([rng.permutation(b) for b in blocks])
+            g[perm, np.arange(n)] = rng.choice([-1.0, 1.0], n)
+            gens.append(np.diag(1.0 / d) @ g @ np.diag(d))
+    if gens and rng.random() < 0.4:
+        g = gens[int(rng.integers(len(gens)))]
+        i = int(rng.integers(n))
+        g[np.argmax(np.abs(g[:, i])), i] *= 10.0 ** rng.uniform(-12, np.log10(2.0)) + 1.0
+    return gens
+
+
+def test_scaling_matches_the_edge_list_walk_bitwise():
+    rng = np.random.default_rng(2024)
+    kinds = set()
+    for trial in range(240):
+        n, count = int(rng.integers(1, 13)), int(rng.integers(0, 5))
+        spec = GroupSpec(f"t{trial}", n, tuple(_random_monomial_list(rng, n, count)))
+        expected = _scaling_outcome(lambda s: _oracles.positive_scaling_by_edges(s, 1e-9), spec)
+        assert _scaling_outcome(positive_scaling, spec) == expected, trial
+        kinds.add(expected[0])
+    assert kinds == {"scaled", "unbounded"}
