@@ -18,6 +18,7 @@ cycle is included in the report), 5 non-monomial input to normalize,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -52,6 +53,7 @@ from .errors import (
 from .normalize import signed_normalize
 from .repspaces import (
     MAX_GRID_POINTS,
+    MAX_VERIFY_POINTS,
     PermAction,
     _coordinate_arrays,
     equivariant_basis,
@@ -143,8 +145,11 @@ def _render_array(a: np.ndarray, indent: int, out: list[str]) -> None:
     if a.dtype.kind == "f":
         # each distinct float once; keyed on its bits, so -0.0 stays apart from 0.0
         bits = flat.astype(float, copy=False).view(np.int64)
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        texts = np.array([_leaf(x) for x in distinct.view(float).tolist()], dtype=object)
+        order = np.argsort(bits, kind="stable")  # np.unique's values and inverse, sorted faster
+        first = np.concatenate(([True], np.diff(ordered := bits[order]) != 0))
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(first) - 1
+        texts = np.array([_leaf(x) for x in ordered[first].view(float).tolist()], dtype=object)
         leaves = texts[inverse].tolist()
     else:
         leaves = np.where(flat, "true", "false").tolist()
@@ -416,6 +421,8 @@ def _cmd_verify(args) -> tuple[str, int]:
     spec, tol = _load_group_spec(args.spec, args.tol)
     if not spec.generators:
         raise ParseError(f"{args.spec}: verify needs at least one generator")
+    if args.trials * spec.n > MAX_VERIFY_POINTS:
+        raise SizeExceededError(f"{args.trials} trials x dimension {spec.n} > {MAX_VERIFY_POINTS}")
     activation = _builtin_activation(args.activation, tol)
     result = verify_pointwise_equivariance(
         activation, spec.generators, trials=args.trials, tol=tol, seed=args.seed
@@ -455,7 +462,9 @@ def _cmd_export_activation(args) -> tuple[str, int]:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first call and then shared: do not change it."""
     parser = _Parser(
         prog="equichar",
         description=(

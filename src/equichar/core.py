@@ -169,10 +169,12 @@ def close_group(
     # Two matrices within tol in every entry project within tol*|r|_1 of each
     # other.  A float dot product of length N = n*n is off by at most about
     # N*eps/2*reach*|r|_1, where reach bounds every entry involved: for such a
-    # pair, the candidate's largest |entry| plus tol.  The window doubles both
-    # terms, which also covers the rounding of its bounds.
-    rounding = (r.size + 1) * np.finfo(float).eps
+    # pair, the later candidate's largest |entry| plus tol, and N times its mean
+    # |entry| bounds the largest.  The window doubles both terms, which also
+    # covers the rounding of the mean and of the window's bounds.
+    rounding, uniform = (r.size + 1) * np.finfo(float).eps, np.full(r.size, 1.0 / r.size)
     r1 = float(np.abs(r).sum())
+    slack, per_mean = 2.0 * r1 * tol * (1.0 + rounding), 2.0 * r1 * rounding * r.size
     gens = np.array(spec.generators, dtype=float).reshape(-1, n, n)
     found = np.empty((16, n, n))
     found[0] = np.eye(n)
@@ -185,46 +187,45 @@ def close_group(
         if size + k > len(found):
             found = np.concatenate([found, np.empty((size + k, n, n))])
         if one:  # the queue is the newest element: form the next run of its powers
-            for j in range(size, size + k):
-                np.matmul(found[j - 1], gens[0], out=found[j])
+            run = list(found[size - 1:size + k])
+            for last, power in zip(run, run[1:]):
+                last.dot(gens[0], out=power)  # matmul's product, with less call overhead
         else:
             out = found[size:size + k].reshape(-1, len(gens), n, n)
             np.matmul(found[head:stop, None], gens, out=out)
-        head, block = stop, found[size:size + k]
-        peaks = np.abs(block).max(axis=(1, 2))
-        live = np.flatnonzero(np.isfinite(peaks))  # a non-finite candidate is within tol of nothing
-        proj = block[live].reshape(len(live), -1) @ r
-        by_proj = np.argsort(proj, kind="stable")
-        s, own = proj[by_proj], size + live[by_proj]
-        half = 2.0 * r1 * (tol + rounding * (peaks[own - size] + tol))
-        # Pair each live candidate with the elements in its window, then with the block's
-        # later candidates in its window: both are spans [starts, stops) of pool.
-        pool, owner = np.concatenate([rows, own]), np.concatenate([own, own])
-        starts = np.concatenate([np.searchsorted(keys, s - half),
-                                 len(keys) + 1 + np.arange(len(s))])
-        stops = np.concatenate([np.searchsorted(keys, s + half, "right"),
-                                len(keys) + np.searchsorted(s, s + half, "right")])
-        ends, near = np.cumsum(stops - starts), [np.empty((2, 0), int)]
-        for q in range(0, int(ends[-1:].sum()), len(found)):  # at most len(found) pairs at a time
-            q = np.arange(q, min(q + len(found), ends[-1]))
-            j = np.searchsorted(ends, q, "right")
-            pair = np.sort([owner[j], pool[stops[j] - ends[j] + q]], axis=0)
-            near.append(pair[:, np.abs(found[pair[0]] - found[pair[1]]).max(axis=(1, 2)) <= tol])
-        near, keep = np.concatenate(near, axis=1), [True] * k
-        for a, b in near[:, np.argsort(near[1], kind="stable")].T.tolist():
-            if a < size or keep[a - size]:  # the queue meets a before b, and a was kept
-                keep[b - size] = False
-        if one and not all(keep):  # a repeated power completes the cyclic group
-            head = size + keep.index(False)
-            keep[head - size:] = [False] * (size + k - head)
-        rank = np.cumsum(keep)
-        complete, keep = size + int(rank[-1]) <= cap, np.array(keep) & (rank <= cap - size)
-        new, kept = np.flatnonzero(keep), keep[live]
-        found[size:size + len(new)] = found[size + new]
-        keys = np.concatenate([keys, proj[kept]])
-        rows = np.concatenate([rows, size + rank[live[kept]] - 1])
+        head, flat = stop, found.reshape(len(found), -1)
+        means = np.abs(flat[size:size + k]) @ uniform  # inf or NaN just for a non-finite candidate
+        own = size + np.flatnonzero(means < np.inf)
+        proj, half = flat.take(own, axis=0) @ r, slack + per_mean * means[own - size]
+        # Merge the live candidates into the sorted keys: each one's window then
+        # spans the elements and the other candidates it may lie within tol of.
+        keys, rows = np.concatenate([keys, proj]), np.concatenate([rows, own])
         by_key = np.argsort(keys, kind="stable")
-        keys, rows, size = keys[by_key], rows[by_key], size + len(new)
+        keys, rows = keys[by_key], rows[by_key]
+        lo, hi = np.searchsorted(keys, proj - half), np.searchsorted(keys, proj + half, "right")
+        counts, keep = hi - lo, np.ones(size + k, bool)  # elements count as kept
+        ends = np.cumsum(counts)
+        # runs [i, e) of candidates with < 2 * len(found) pairs: a window holds <= len(found)
+        cuts = np.searchsorted(ends, np.arange(0, ends[-1:].sum(), len(found)), "right").tolist()
+        for i, e in zip(cuts, cuts[1:] + [len(own)]):
+            a = own[i:e].repeat(counts[i:e])
+            b = rows.take(np.arange(ends[i] - counts[i], ends[e - 1])
+                          + (hi - ends)[i:e].repeat(counts[i:e]))
+            later = b < a  # each pair once, from the later candidate's window
+            a, b = a[later], b[later]
+            close = (np.abs(flat.take(a, axis=0) - flat.take(b, axis=0)) > tol) @ uniform == 0
+            # in queue order of the later candidate x, so keep[y] is final when read
+            for x, y in zip(a[close].tolist(), b[close].tolist()):
+                if y < size or keep[y]:
+                    keep[x] = False
+        if one and not keep[size:].all():  # a repeated power completes the cyclic group
+            head = size + int(np.argmin(keep[size:]))
+            keep[head:] = False
+        rank = np.cumsum(keep)  # 1 + the index in found of each kept element or candidate
+        keep &= rank <= cap
+        found[size:min(int(rank[-1]), cap)] = found[size:size + k][keep[size:]]
+        stay, complete = keep[rows], int(rank[-1]) <= cap
+        keys, rows, size = keys[stay], rank[rows[stay]] - 1, min(int(rank[-1]), cap)
     return ClosureResult(list(found[:size].copy()), complete)  # no view keeps the slack alive
 
 

@@ -31,6 +31,7 @@ from .errors import (
 
 MAX_TENSOR_POINTS = 1_000_000
 MAX_GRID_POINTS = 1_000_000  # export-activation rows
+MAX_VERIFY_POINTS = 10_000_000  # verify trials times dimension
 MAX_BASIS_PAIRS = 10_000_000
 
 
@@ -368,11 +369,14 @@ def validate_network(
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(trials):
             x = _nonzero_uniform(rng, actions[0].size)
+            plain = [x.copy()]  # the untransformed pass after each stage, shared by the generators
+            for _, f, _ in stages:
+                plain.append(f(plain[-1]))
             for gi in range(gen_count):
-                transformed, plain = x[inverses[0][gi]], x.copy()
+                transformed = x[inverses[0][gi]]
                 for stage, (kind, f, space) in enumerate(stages, 1):
-                    transformed, plain = f(transformed), f(plain)
-                    residual = float(np.abs(transformed - plain[inverses[space][gi]]).max())
+                    transformed = f(transformed)
+                    residual = float(np.abs(transformed - plain[stage][inverses[space][gi]]).max())
                     worst = max(residual, worst)  # residual first, so that NaN is kept
                     if not residual <= tol:
                         failure = StageFailure(stage, kind, t, gi, residual, x)

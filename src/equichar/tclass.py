@@ -293,8 +293,9 @@ def classify_group_detailed(
     unit_row = all(is_unit_row(g, tol) for g in spec.generators)
     if monomial:
         non_negative = bool((coeffs > 0).all())
-        mats = spec.generators or (np.eye(spec.n),)  # the identity for no generators
-        tclass = classify_subgroup(subset_sum_generators(mats, tol), tol)
+        # a monomial matrix's row subset sums are its coefficients: pass each as a 1x1 matrix
+        values = coeffs.reshape(-1, 1, 1) if coeffs.size else np.ones((1, 1, 1))  # no generators
+        tclass = classify_subgroup(subset_sum_generators(values, tol), tol)
     else:
         if spec.n > MAX_SUBSET_DIM:
             # subset sums are infeasible already for the generators, so do

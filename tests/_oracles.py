@@ -7,9 +7,10 @@ matrix products are walked directly when probing boundedness, row subset
 sums are taken one matrix at a time and thinned one value at a time,
 reports and CSV tables are rendered one value at a time, a group's scalar
 subgroup is always computed from the subset sums of its whole closure, an
-equivariance check evaluates the activation on one vector at a time, and a
+equivariance check evaluates the activation on one vector at a time, a
 positive rescaling walks an explicit edge list with adjacency lists and a
-deque.
+deque, and a network check runs the untransformed forward pass again for
+every generator.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from collections import deque
 
 import numpy as np
 
+from equichar.activations import _nonzero_uniform
 from equichar.core import close_group, is_unit_row, monomial_decompose
 from equichar.errors import NotMonomialError, UnboundedGroupError
 from equichar.normalize import ScalingResult, _edge_description
+from equichar.repspaces import NetworkReport, StageFailure
 from equichar.tclass import (
     GroupClassification,
     _character_defect,
@@ -346,3 +349,36 @@ def positive_scaling_by_edges(spec, tol: float):
             )
     d = np.exp(log_d)
     return ScalingResult(d, [(d[:, None] * g) / d[None, :] for g in spec.generators])
+
+
+def validate_network_per_generator(
+    layers, activations, actions, trials: int, tol: float, seed: int
+):
+    """``validate_network`` with both forward passes redone for every generator.
+
+    Each trial draws one input; for each generator the transformed and the
+    untransformed passes run stage by stage side by side, and the first stage
+    whose residual is above ``tol`` or not a number is reported.
+    """
+    gen_count = len(actions[0].images)
+    inverses = [np.argsort(a.images, axis=1) for a in actions]
+    stages = []
+    for k, layer in enumerate(layers):
+        stages.append(("affine", layer.apply, k + 1))
+        if k < len(activations):
+            stages.append(("activation", activations[k], k + 1))
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(trials):
+            x = _nonzero_uniform(rng, actions[0].size)
+            for gi in range(gen_count):
+                transformed, plain = x[inverses[0][gi]], x.copy()
+                for stage, (kind, f, space) in enumerate(stages, 1):
+                    transformed, plain = f(transformed), f(plain)
+                    residual = float(np.abs(transformed - plain[inverses[space][gi]]).max())
+                    worst = max(residual, worst)
+                    if not residual <= tol:
+                        failure = StageFailure(stage, kind, t, gi, residual, x)
+                        return NetworkReport(False, trials, worst, failure)
+    return NetworkReport(True, trials, worst, None)

@@ -299,6 +299,16 @@ class TestVerifyCommand:
         result = main_cli("verify", str(p_spec), "--activation", "gelu")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("trials", ["3333334", "100000000000"])
+    def test_trials_times_dimension_past_the_limit_exit_3(self, main_cli, p_spec, trials):
+        """p_spec has dimension 3: 3,333,334 trials draw 10,000,002 coordinates.
+        Without the limit, 10^11 trials ran for hours."""
+        start = time.perf_counter()
+        result = main_cli("verify", str(p_spec), "--activation", "tanh", "--trials", trials)
+        assert time.perf_counter() - start < 5.0
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr == f"error: {trials} trials x dimension 3 > 10000000\n"
+
 
 class TestExportActivationCommand:
     def _bump_profile(self, tmp_path) -> Path:
@@ -572,6 +582,48 @@ def test_bad_input_exits_2_with_one_line_error(case, tmp_path, monkeypatch, caps
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert BAD_INPUT_MESSAGES.get(case, "") in captured.err
+
+
+def test_one_process_reuses_one_parser_and_answers_as_fresh_processes(
+    tmp_path, z2_spec, monkeypatch, capsys
+):
+    """A refused input, a --tol run, the same run without --tol, a --help and a
+    verify run through one ``cli.main`` give a fresh process's stdout, stderr
+    and exit code each, and argparse builds the parser once."""
+    monkeypatch.setenv("COLUMNS", "80")  # the help width, here and in the subprocesses
+    monkeypatch.delenv("EQUICHAR_TOL", raising=False)
+    built = []
+    real_init = cli._Parser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    cli.build_parser.cache_clear()
+    sequence = [
+        ("classify", str(tmp_path / "missing.json")),
+        ("classify", str(z2_spec), "--tol", "1e-6"),
+        ("classify", str(z2_spec)),
+        ("basis", "--help"),
+        ("verify", str(z2_spec), "--activation", "tanh", "--trials", "20"),
+    ]
+    codes, outs = [], []
+    for argv in sequence:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # --help
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = run_cli(*argv, env_extra={"COLUMNS": "80"})
+        assert (captured.out, captured.err, code) == (fresh.stdout, fresh.stderr, fresh.returncode)
+        codes.append(code)
+        outs.append(captured.out)
+    assert codes == [2, 0, 0, 0, 1]  # tanh does not commute with the scaled swap
+    assert json.loads(outs[1])["input"]["tolerance"] == 1e-06
+    assert json.loads(outs[2])["input"]["tolerance"] == 1e-09
+    assert outs[3].startswith("usage: equichar basis")
+    assert built.count("equichar") == 1
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):

@@ -205,6 +205,10 @@ def _closure_corpus():
     alone and beside a rotation, a repeated generator, two generators within
     tol of each other at unit scale, a generator whose square repeats the
     identity but whose cube is new, and the empty list (a (0, 2, 2) array).
+    Last, the pair near 1e8 again, run until a whole block of products has
+    overflowed, and unipotent generators I + V whose powers all project onto
+    ``close_group``'s vector alike, so that every window holds every key and
+    the pairs are compared in several runs.
     """
     rng = np.random.default_rng(8)
     corpus = []
@@ -233,6 +237,12 @@ def _closure_corpus():
     nudge = 0.5e-9 / np.abs(flip @ shift + shift @ flip).max()
     corpus.append(([flip + nudge * shift], 50))  # g @ g is I within tol, g @ g @ g is 5e-7 off g
     corpus.append((np.empty((0, 2, 2)), 10))
+    corpus.append(([big, big + np.diag([0.0, 0.9e-9])], 50))
+    # V = u w^T with w orthogonal to u and to R^T u, R being the projection vector as 3x3
+    u = np.array([1.0, 0.3, -0.2])
+    v = np.outer(u, np.cross(u, np.random.default_rng(0).standard_normal((3, 3)).T @ u))
+    g = np.eye(3) + 1e-3 * v / np.abs(v).max()
+    corpus += [([g], 300), ([g, np.linalg.inv(g)], 300)]
     return corpus
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import _oracles
 from equichar import (
+    Activation,
     CountMismatchError,
     GeneratorCountMismatchError,
     PermAction,
@@ -447,3 +448,56 @@ class TestValidateNetwork:
             validate_network(
                 layers, [], [action, PermAction(3, ())], trials=1, tol=1e-9, seed=0
             )
+
+
+def _seeded_network(rng):
+    """Layers, activations and actions of a random network on S_n or C_n, n = 3-5.
+
+    Two in three networks are corrupted: one weight leaves the equivariant
+    span, or a diagonal that commutes with the transposition (0 1) but not
+    with the n-cycle is added, so that on S_n the second generator fails first.
+    """
+    n = int(rng.integers(3, 6))
+    images = symmetric_action_generators(n) if rng.random() < 0.7 else cyclic_action_generators(n)
+    if rng.random() < 0.3:
+        images = [*images, images[0]]  # a repeated generator: three passes per trial
+    action = PermAction(n, images)
+    depth = int(rng.integers(1, 4))
+    count = len(equivariant_basis(action, action))
+    weights = [tuple(rng.uniform(-2, 2, count)) for _ in range(depth)]
+    layers = _deepsets_stack(n, action, weights, bias_weight=rng.uniform(-1, 1))
+    corrupt = rng.integers(3)
+    if corrupt == 1:
+        layers[rng.integers(depth)].matrix[rng.integers(n), rng.integers(n)] += 0.25
+    elif corrupt == 2:
+        layers[rng.integers(depth)].matrix[np.arange(2, n), np.arange(2, n)] += 0.25
+    choices = [relu(), tanh(), identity(), Activation("sqrt", np.sqrt)]  # sqrt: NaN below 0
+    activations = [choices[rng.integers(len(choices))] for _ in range(depth - 1)]
+    return layers, activations, [action] * (depth + 1)
+
+
+def test_validate_network_matches_the_per_generator_oracle():
+    rng = np.random.default_rng(44)
+    outcomes = set()
+    for case in range(150):
+        layers, activations, actions = _seeded_network(rng)
+        trials, tol, seed = int(rng.integers(1, 20)), float(rng.choice([1e-12, 1e-9])), case
+        got = validate_network(layers, activations, actions, trials=trials, tol=tol, seed=seed)
+        want = _oracles.validate_network_per_generator(
+            layers, activations, actions, trials, tol, seed
+        )
+        assert (got.passed, got.trials) == (want.passed, want.trials)
+        np.testing.assert_array_equal(got.worst_residual, want.worst_residual)  # NaN == NaN
+        assert (got.failure is None) == (want.failure is None)
+        if want.failure is not None:
+            g, w = got.failure, want.failure
+            assert (g.stage, g.kind, g.trial) == (w.stage, w.kind, w.trial)
+            assert g.generator == w.generator
+            np.testing.assert_array_equal(g.residual, w.residual)
+            np.testing.assert_array_equal(g.x, w.x)
+            outcomes.add((g.kind, g.generator > 0, bool(np.isnan(g.residual))))
+        else:
+            outcomes.add("passed")
+    # passing networks, affine failures at both generators, NaN failures at an activation
+    assert {"passed", ("affine", False, False), ("affine", True, False)} <= outcomes
+    assert ("activation", False, True) in outcomes
