@@ -421,8 +421,13 @@ def _cmd_verify(args) -> tuple[str, int]:
     spec, tol = _load_group_spec(args.spec, args.tol)
     if not spec.generators:
         raise ParseError(f"{args.spec}: verify needs at least one generator")
-    if args.trials * spec.n > MAX_VERIFY_POINTS:
-        raise SizeExceededError(f"{args.trials} trials x dimension {spec.n} > {MAX_VERIFY_POINTS}")
+    vectors = len(spec.generators) + 1  # x and each M x, in every trial
+    # a vector costs about as much again as 200 coordinates, whatever its dimension
+    if args.trials * vectors * (spec.n + 200) > MAX_VERIFY_POINTS:
+        raise SizeExceededError(
+            f"{args.trials} trials x {vectors} vectors x (dimension {spec.n} + 200)"
+            f" > {MAX_VERIFY_POINTS}"
+        )
     activation = _builtin_activation(args.activation, tol)
     result = verify_pointwise_equivariance(
         activation, spec.generators, trials=args.trials, tol=tol, seed=args.seed

@@ -31,7 +31,9 @@ from .errors import (
 
 MAX_TENSOR_POINTS = 1_000_000
 MAX_GRID_POINTS = 1_000_000  # export-activation rows
-MAX_VERIFY_POINTS = 10_000_000  # verify trials times dimension
+# verify: trials x (generators + 1) x (dimension + 200), so that the largest
+# accepted run takes about 6-8 s of CPU from dimension 1 to 160 (tanh, 2-vCPU Xeon)
+MAX_VERIFY_POINTS = 150_000_000
 MAX_BASIS_PAIRS = 10_000_000
 
 

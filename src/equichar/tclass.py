@@ -45,7 +45,19 @@ class SubgroupKind(str, Enum):
     DENSE = "Dense"
 
 
-_KINDS_WITH_BASE = (SubgroupKind.POWERS_OF_B, SubgroupKind.SIGNED_POWERS_OF_B)
+# Each kind's shape: whether it holds a negative value, and whether its
+# magnitudes are {1}, the powers of a base b, or dense; ordered by inclusion.
+_ONE, _POWERS, _DENSE = range(3)
+_SHAPES = {
+    SubgroupKind.TRIVIAL: (False, _ONE),
+    SubgroupKind.PLUS_MINUS_ONE: (True, _ONE),
+    SubgroupKind.POWERS_OF_B: (False, _POWERS),
+    SubgroupKind.SIGNED_POWERS_OF_B: (True, _POWERS),
+    SubgroupKind.DENSE_POSITIVE: (False, _DENSE),
+    SubgroupKind.DENSE: (True, _DENSE),
+}
+_KIND_OF_SHAPE = {shape: kind for kind, shape in _SHAPES.items()}
+_KINDS_WITH_BASE = tuple(k for k, (_, magnitudes) in _SHAPES.items() if magnitudes == _POWERS)
 
 
 def _check_base(kind: Enum, b: float | None, needs_base: bool) -> None:
@@ -185,7 +197,7 @@ def _sorted_subset_sums(mats: Sequence, tol: float) -> np.ndarray:
     if len(rest):
         if n > MAX_SUBSET_DIM:
             raise DimensionTooLargeError(
-                f"subset-sum enumeration needs 2^{n} sums per row; limit is 2^{MAX_SUBSET_DIM}"
+                f"non-monomial dimension {n} exceeds the subset-sum limit of {MAX_SUBSET_DIM}"
             )
         masks = np.arange(2**n, dtype=np.int64)
         bits = (masks[:, None] >> np.arange(n)) & 1  # (2^n, n)
@@ -235,8 +247,7 @@ def classify_subgroup(
     logs = _log_magnitudes(gens.values, tol)
     g = next(logs, None)
     if g is None:
-        kind = SubgroupKind.PLUS_MINUS_ONE if has_negative else SubgroupKind.TRIVIAL
-        return SubgroupClass(kind)
+        return SubgroupClass(_KIND_OF_SHAPE[has_negative, _ONE])
     floor = 1000.0 * max(tol, sys.float_info.epsilon)
     for x in logs:
         g = _real_gcd(g, x, tol, max_iter)
@@ -248,11 +259,8 @@ def classify_subgroup(
                 g = 0.0
                 break
     if g <= floor:
-        kind = SubgroupKind.DENSE if has_negative else SubgroupKind.DENSE_POSITIVE
-        return SubgroupClass(kind)
-    b = math.exp(g)
-    kind = SubgroupKind.SIGNED_POWERS_OF_B if has_negative else SubgroupKind.POWERS_OF_B
-    return SubgroupClass(kind, b)
+        return SubgroupClass(_KIND_OF_SHAPE[has_negative, _DENSE])
+    return SubgroupClass(_KIND_OF_SHAPE[has_negative, _POWERS], math.exp(g))
 
 
 def _character_defect(elements: Sequence[np.ndarray]) -> str | None:
@@ -288,7 +296,8 @@ def classify_group_detailed(
     closure is still taken, because it decides the notes.
     """
     notes: list[str] = []
-    monomials, _, coeffs = monomial_arrays(np.reshape(spec.generators, (-1, spec.n, spec.n)), tol)
+    stack = np.reshape(spec.generators, (-1, spec.n, spec.n))
+    monomials, _, coeffs = monomial_arrays(stack, tol)
     monomial = bool(monomials.all())
     unit_row = all(is_unit_row(g, tol) for g in spec.generators)
     if monomial:
@@ -297,26 +306,17 @@ def classify_group_detailed(
         values = coeffs.reshape(-1, 1, 1) if coeffs.size else np.ones((1, 1, 1))  # no generators
         tclass = classify_subgroup(subset_sum_generators(values, tol), tol)
     else:
-        if spec.n > MAX_SUBSET_DIM:
-            # subset sums are infeasible already for the generators, so do
-            # not bother enumerating the closure first
-            raise DimensionTooLargeError(
-                f"non-monomial generators of dimension {spec.n} exceed the "
-                f"subset-sum limit of {MAX_SUBSET_DIM}"
-            )
         non_negative = False
+        # The generators lie in the closure, so their subset sums are among
+        # the closure's, and a Dense class from them is final.  Taken first,
+        # they refuse a dimension past the subset-sum limit before any
+        # eigenvalue or closure work.
+        tclass = classify_subgroup(subset_sum_generators(spec.generators, tol), tol)
         # Every element of a finite group has its eigenvalues on the unit
         # circle.  Off it (|log|lambda|| > n*tol), a generator's powers grow
         # or shrink without bound: the closure would run to the cap, or
         # converge within tol and stop early at a wrong "finite" group.
-        finite = all(
-            np.abs(np.log(np.abs(np.linalg.eigvals(g)))).max() <= spec.n * tol
-            for g in spec.generators
-        )
-        # The generators lie in the closure, so their subset sums are among
-        # the closure's: when they already mix a dense set with a negative
-        # value, so does the closure, and its subset sums can be skipped.
-        tclass = classify_subgroup(subset_sum_generators(spec.generators, tol), tol)
+        finite = np.abs(np.log(np.abs(np.linalg.eigvals(stack)))).max() <= spec.n * tol
         fallback = "scalar subgroup computed from generators only (approximation)"
         if not (finite and (closure := close_group(spec, cap, tol)).complete):
             notes.append(f"closure did not stabilize below the element cap; {fallback}")
@@ -366,10 +366,10 @@ def maximal_group_label(f: ActivationFamily, n: int) -> GroupClassification:
 
 def _is_integer_power(outer_b: float, inner_b: float, tol: float) -> bool:
     """True iff outer_b == inner_b**k for an integer k >= 1 (within tol)."""
+    if abs(outer_b - inner_b) <= tol * max(1.0, outer_b):  # near 1, log ratios round to any k
+        return True
     k = round(math.log(outer_b) / math.log(inner_b))
-    if k < 1:
-        return False
-    return abs(inner_b**k - outer_b) <= tol * max(1.0, outer_b)
+    return k >= 1 and abs(inner_b**k - outer_b) <= tol * max(1.0, outer_b)
 
 
 def family_contains(
@@ -377,28 +377,17 @@ def family_contains(
 ) -> bool:
     """Whether the ``outer`` family of functions contains the ``inner`` one.
 
-    Fewer multiplicative constraints mean a bigger family, so for the
-    multiplicative kinds containment runs along integer powers of the base:
-    the b^k-multiplicative family contains the b-multiplicative one.
+    By the theorem's pairing (``_PAIRS``) a family is larger when its maximal
+    group is smaller: ``outer`` contains ``inner`` iff outer's group has every
+    property (monomial, non-negative, unit-row) that inner's requires and its
+    scalar subgroup lies inside inner's: its shape does, and b^Z lies inside
+    c^Z when b is an integer power of c.  So the b^k-multiplicative family
+    contains the b-multiplicative one.
     """
-    if outer.kind is FamilyKind.CONTINUOUS:
-        return True
-    if inner.kind is FamilyKind.LINEAR_ONLY:
-        return True
-    if outer.kind is inner.kind:
-        if outer.b is None:
-            return True
-        return abs(outer.b - inner.b) <= tol * max(1.0, outer.b) or _is_integer_power(
-            outer.b, inner.b, tol
-        )
-    if outer.kind is FamilyKind.ODD_CONTINUOUS:
-        return inner.kind is FamilyKind.PM_B_MULTIPLICATIVE
-    if outer.kind is FamilyKind.B_MULTIPLICATIVE:
-        if inner.kind is FamilyKind.SEMILINEAR:
-            return True
-        if inner.kind is FamilyKind.PM_B_MULTIPLICATIVE:
-            return _is_integer_power(outer.b, inner.b, tol) or abs(outer.b - inner.b) <= tol
-        return False
-    # Semilinear, PMB, AffineOnly, LinearOnly contain nothing else beyond
-    # themselves and the linear functions handled above.
-    return False
+    *outer_flags, outer_kind = _PAIRS[outer.kind]
+    *inner_flags, inner_kind = _PAIRS[inner.kind]
+    return (
+        all(o >= i for o, i in zip(outer_flags, inner_flags))
+        and all(o <= i for o, i in zip(_SHAPES[outer_kind], _SHAPES[inner_kind]))
+        and (outer.b is None or inner.b is None or _is_integer_power(outer.b, inner.b, tol))
+    )

@@ -9,8 +9,9 @@ reports and CSV tables are rendered one value at a time, a group's scalar
 subgroup is always computed from the subset sums of its whole closure, an
 equivariance check evaluates the activation on one vector at a time, a
 positive rescaling walks an explicit edge list with adjacency lists and a
-deque, and a network check runs the untransformed forward pass again for
-every generator.
+deque, a network check runs the untransformed forward pass again for
+every generator, and family containment is a case analysis over the seven
+families rather than a reading of the pairing table.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from equichar.errors import NotMonomialError, UnboundedGroupError
 from equichar.normalize import ScalingResult, _edge_description
 from equichar.repspaces import NetworkReport, StageFailure
 from equichar.tclass import (
+    FamilyKind,
     GroupClassification,
     _character_defect,
     classify_subgroup,
@@ -382,3 +384,29 @@ def validate_network_per_generator(
                         failure = StageFailure(stage, kind, t, gi, residual, x)
                         return NetworkReport(False, trials, worst, failure)
     return NetworkReport(True, trials, worst, None)
+
+
+def family_contains_by_cases(outer, inner, tol: float) -> bool:
+    """``family_contains(outer, inner, tol)``, family by family."""
+
+    def integer_power(outer_b: float, inner_b: float) -> bool:
+        k = round(math.log(outer_b) / math.log(inner_b))
+        return k >= 1 and abs(inner_b**k - outer_b) <= tol * max(1.0, outer_b)
+
+    if outer.kind is FamilyKind.CONTINUOUS or inner.kind is FamilyKind.LINEAR_ONLY:
+        return True
+    if outer.kind is inner.kind:
+        if outer.b is None:
+            return True
+        return abs(outer.b - inner.b) <= tol * max(1.0, outer.b) or integer_power(outer.b, inner.b)
+    if outer.kind is FamilyKind.ODD_CONTINUOUS:
+        return inner.kind is FamilyKind.PM_B_MULTIPLICATIVE
+    if outer.kind is FamilyKind.B_MULTIPLICATIVE:
+        if inner.kind is FamilyKind.SEMILINEAR:
+            return True
+        if inner.kind is FamilyKind.PM_B_MULTIPLICATIVE:
+            return integer_power(outer.b, inner.b) or abs(outer.b - inner.b) <= tol
+        return False
+    # Semilinear, PMB, AffineOnly and LinearOnly contain nothing beyond
+    # themselves and the linear functions handled above.
+    return False

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import _oracles
-from equichar import cli
+from equichar import EquivarianceReport, cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -301,13 +301,25 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("trials", ["3333334", "100000000000"])
     def test_trials_times_dimension_past_the_limit_exit_3(self, main_cli, p_spec, trials):
-        """p_spec has dimension 3: 3,333,334 trials draw 10,000,002 coordinates.
-        Without the limit, 10^11 trials ran for hours."""
+        """p_spec has dimension 3 and one generator, so each trial counts 2 x 203
+        points.  Without the limit, 10^11 trials ran for hours."""
         start = time.perf_counter()
         result = main_cli("verify", str(p_spec), "--activation", "tanh", "--trials", trials)
         assert time.perf_counter() - start < 5.0
         assert (result.returncode, result.stdout) == (3, "")
-        assert result.stderr == f"error: {trials} trials x dimension 3 > 10000000\n"
+        assert result.stderr == (
+            f"error: {trials} trials x 2 vectors x (dimension 3 + 200) > 150000000\n"
+        )
+
+    def test_largest_accepted_trials_reach_verify(self, main_cli, p_spec, monkeypatch):
+        """369,458 x 2 x 203 points fit in 1.5 x 10^8; one trial more does not."""
+        def passing(f, mats, *, trials, tol, seed):
+            return EquivarianceReport(True, trials, 0.0, None)
+
+        monkeypatch.setattr(cli, "verify_pointwise_equivariance", passing)
+        for trials, code in (("369458", 0), ("369459", 3)):
+            result = main_cli("verify", str(p_spec), "--activation", "tanh", "--trials", trials)
+            assert result.returncode == code
 
 
 class TestExportActivationCommand:

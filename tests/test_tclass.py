@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -9,13 +10,17 @@ import _oracles
 from conftest import rotation, s4_at_scale, spec_of
 from equichar.core import DEFAULT_CLOSURE_CAP, DEFAULT_TOL
 from equichar import (
+    Activation,
     ActivationFamily,
     DimensionTooLargeError,
+    EtaProfile,
     FamilyKind,
     GroupClassification,
+    GroupSpec,
     SubgroupClass,
     SubgroupKind,
     TGenerators,
+    build_eta_activation,
     classify_group,
     classify_group_detailed,
     classify_subgroup,
@@ -24,7 +29,9 @@ from equichar import (
     maximal_family,
     maximal_group_label,
     subset_sum_generators,
+    tanh,
     tclass,
+    verify_pointwise_equivariance,
 )
 
 ALL_LABELS = (
@@ -66,6 +73,15 @@ class TestSubsetSumGenerators:
         big[0, 1] = 1.0
         with pytest.raises(DimensionTooLargeError):
             subset_sum_generators([big])
+
+    def test_group_past_the_cap_is_refused_before_eigenvalues_or_closure(self, monkeypatch):
+        big = np.eye(21)
+        big[0, 1] = 1.0
+        spec = spec_of("shear21", big)
+        monkeypatch.setattr(tclass, "close_group", lambda *a: pytest.fail("closure was run"))
+        monkeypatch.setattr(np.linalg, "eigvals", lambda *a: pytest.fail("eigvals was run"))
+        with pytest.raises(DimensionTooLargeError, match="dimension 21 exceeds the subset-sum"):
+            classify_group_detailed(spec)
 
     def test_values_are_deduplicated_and_sorted(self, p_matrix):
         assert subset_sum_generators([p_matrix, np.eye(3)]).values == (1.0,)
@@ -596,6 +612,14 @@ class TestMaximalGroupLabel:
         assert maximal_family(maximal_group_label(once, 3)) == once
 
 
+# Bases within tol of each other near 1 are where the equal-bases clause
+# decides; the others exercise integer powers and their near misses.
+CONTAINMENT_BASES = (
+    1 + 1e-12, 1 + 4e-10, 1 + 1.5e-9, 1.0000001, math.sqrt(2), 1.5, 2.0, 2 + 5e-10,
+    2 + 3e-9, 3.0, 4.0, 4 + 1e-9, 8.0, 9.0, 27.0, 1e6, 1e12,
+)
+
+
 class TestFamilyContainment:
     def test_frozen_ordering_table(self):
         cont = ActivationFamily(FamilyKind.CONTINUOUS)
@@ -631,6 +655,25 @@ class TestFamilyContainment:
             assert family_contains(outer, lin)
             assert not family_contains(outer, cont)
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+    def test_matches_the_case_analysis(self, tol):
+        labels = [
+            ActivationFamily(kind, b)
+            for kind in FamilyKind
+            for b in (CONTAINMENT_BASES if kind in tclass._FAMILIES_WITH_BASE else (None,))
+        ]
+        for outer in labels:
+            for inner in labels:
+                expected = _oracles.family_contains_by_cases(outer, inner, tol)
+                assert family_contains(outer, inner, tol) == expected, (outer, inner)
+
+    def test_near_one_bases_within_tol_are_equal(self):
+        # log(1 + 1e-12) / log(1 + 4e-10) rounds to 0: no integer power names them
+        near = ActivationFamily(FamilyKind.B_MULTIPLICATIVE, 1 + 4e-10)
+        nearer = ActivationFamily(FamilyKind.B_MULTIPLICATIVE, 1 + 1e-12)
+        assert family_contains(nearer, near, 1e-9) and family_contains(near, nearer, 1e-9)
+        assert not family_contains(nearer, near, 1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ActivationFamily(FamilyKind.B_MULTIPLICATIVE)  # base required
@@ -640,3 +683,79 @@ class TestFamilyContainment:
             SubgroupClass(SubgroupKind.POWERS_OF_B, 1.0)
         with pytest.raises(ValueError):
             GroupClassification(False, True, False, SubgroupClass(SubgroupKind.DENSE))
+
+
+def _diag(n: int, *head: float) -> np.ndarray:
+    return np.diag(list(head) + [1.0] * (n - len(head)))
+
+
+def _row_generators(row: FamilyKind, n: int, b: float, exponents: tuple[int, int]) -> list:
+    """Generators of a group from ``row`` of the theorem's table, in dimension ``n``."""
+    cycle = np.roll(np.eye(n), 1, axis=0)
+    e0, e1 = np.eye(n)[:2]
+    scaled = _diag(n, b ** exponents[0]) @ cycle
+    return {
+        FamilyKind.CONTINUOUS: [cycle, np.eye(n)[[1, 0, *range(2, n)]]],
+        FamilyKind.ODD_CONTINUOUS: [cycle, _diag(n, -1.0)],
+        FamilyKind.SEMILINEAR: [_diag(n, 2.0) @ cycle, _diag(n, 3.0)],
+        FamilyKind.B_MULTIPLICATIVE: [scaled, _diag(n, b ** exponents[1])],
+        FamilyKind.PM_B_MULTIPLICATIVE: [scaled, _diag(n, -(b ** exponents[1]))],
+        # eigenvalue 1 + b off the unit circle: both classify without a closure
+        FamilyKind.AFFINE_ONLY: [np.eye(n) + b * np.outer(e0, e0 - e1)],
+        FamilyKind.LINEAR_ONLY: [_diag(n, b) + np.outer(e0, e1)],
+    }[row]
+
+
+def _witness(kind: FamilyKind, c: float, alpha: float, beta: float):
+    """An activation from family ``kind`` (base ``c`` when it has one) and its label."""
+    if kind in tclass._FAMILIES_WITH_BASE:
+        profile = EtaProfile.from_callable(c, lambda y: y + 0.25 * (y - 1) * (c - y) / (c - 1))
+        signed = kind is FamilyKind.PM_B_MULTIPLICATIVE
+        return build_eta_activation(c, profile, signed=signed), ActivationFamily(kind, c)
+    fn = {
+        FamilyKind.CONTINUOUS: Activation("softplus", lambda x: np.logaddexp(0.0, x)),
+        FamilyKind.ODD_CONTINUOUS: tanh(),
+        FamilyKind.SEMILINEAR: Activation("leaky", lambda x: np.where(x > 0, x, 0.1 * x)),
+        FamilyKind.AFFINE_ONLY: Activation("affine", lambda x: alpha * x + beta),
+        FamilyKind.LINEAR_ONLY: Activation("linear", lambda x: alpha * x),
+    }[kind]
+    return fn, ActivationFamily(kind)
+
+
+def test_theorem_end_to_end():
+    """Each row of the table classifies to its family, and a witness from any
+    family commutes with the row's group exactly when that family contains it."""
+    drawn_rows, drawn_witnesses = set(), set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        row=st.sampled_from(list(FamilyKind)),
+        n=st.integers(2, 5),
+        order=st.permutations(range(5)),
+        b=st.sampled_from([2.0, 3.0]),
+        exponents=st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+            lambda e: math.gcd(*e) == 1
+        ),
+        witness=st.sampled_from(list(FamilyKind)),
+        witness_b=st.sampled_from([2.0, 3.0]),
+        power=st.sampled_from([1, 2]),
+        alpha=st.sampled_from([-2.0, 0.5, 3.0]),
+        beta=st.sampled_from([-1.5, 0.75]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(row, n, order, b, exponents, witness, witness_b, power, alpha, beta, seed):
+        drawn_rows.add(row)
+        drawn_witnesses.add(witness)
+        p = np.eye(n)[[i for i in order if i < n]]
+        gens = tuple(p @ g @ p.T for g in _row_generators(row, n, b, exponents))
+        family = maximal_family(classify_group(GroupSpec(row.value, n, gens)))
+        assert family.kind is row
+        with_base = row in tclass._FAMILIES_WITH_BASE
+        assert family.b == (pytest.approx(b, rel=1e-12) if with_base else None)
+        f, label = _witness(witness, witness_b**power, alpha, beta)
+        report = verify_pointwise_equivariance(f, gens, trials=30, seed=seed)
+        assert report.passed == family_contains(ActivationFamily(row, family.b), label)
+
+    check()
+    assert drawn_rows == drawn_witnesses == set(FamilyKind)
+
