@@ -11,6 +11,7 @@ multiplicative identity forces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -22,6 +23,9 @@ from .tclass import FamilyKind
 
 DEFAULT_PROFILE_SAMPLES = 17
 FLOAT_FORMAT = "%.17g"  # 17 significant digits: every double round-trips
+_E_MIN, _E_MAX = -283, 299  # CSV kernel's decimal exponents: |x|, 10**(16 - e) split finitely
+_SPLIT = 2.0**27 + 1  # Veltkamp's constant: a * _SPLIT splits a into two 26-bit halves
+_CSV_BLOCK = 4096  # rows formatted at once
 
 
 @dataclass
@@ -397,8 +401,80 @@ def format_float(x: float) -> str:
     return FLOAT_FORMAT % float(x)
 
 
+@functools.cache
+def _csv_tables() -> tuple[np.ndarray, ...]:
+    """10**k, k in [_E_MIN, _E_MAX], as hi + lo and hi's Veltkamp halves; for m = 0..4,
+    0000..9999 as 8 bytes of digits and NUL point slots with the trailing zeros
+    past the m-th digit as NULs, and the digits each shows; "e-330".."e+309"."""
+    hi, lo = [], []
+    for num, den in [(10**k, 1) if k >= 0 else (1, 10**-k) for k in range(_E_MIN, _E_MAX + 1)]:
+        hi.append(num / den)  # int / int rounds correctly
+        h_num, h_den = hi[-1].as_integer_ratio()
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    hi, digits = np.array(hi), np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    shown = np.maximum(np.arange(5)[:, None], 4 - np.cumprod(digits[:, ::-1] == 0, 1).sum(1))
+    groups = np.zeros((50_000, 8), np.uint8)
+    groups[:, ::2] = np.where(np.arange(4) < shown.reshape(-1, 1), np.tile(digits, (5, 1)) + 48, 0)
+    top, exponents = hi * _SPLIT - (hi * _SPLIT - hi), [b"e%+03d" % j for j in range(-330, 310)]
+    return (hi, np.array(lo), top, hi - top, groups.view("<u8")[:, 0], shown.ravel(),
+            np.array(exponents, "S5").view(np.uint8).reshape(-1, 5))
+
+
+def _csv_rows(v: np.ndarray) -> str:
+    """``FLOAT_FORMAT`` of the values v, paired into rows by ``,`` and newlines.
+
+    |x| * 10**(16 - e), e = floor(log10|x|), is the integer-valued double s
+    plus r (Dekker's exact product with hi, plus the product with lo), within
+    1e-14, and exact where lo = 0.  Rounded half to even, it gives 17 digits,
+    laid out in fixed byte slots (sign, "0.000", digit and point pairs, "e+ddd",
+    separator) whose NULs are dropped.  ``FLOAT_FORMAT % x`` overwrites what
+    that cannot settle: zero, inf, NaN, e out of range, s within 64 of 10**16
+    or 10**17 (|r| < 20: no carry), an inexact r within 1e-6 of a half-integer.
+    """
+    hi, lo, hi_top, hi_low, groups_8, shown, exponents = _csv_tables()
+    a = np.abs(v)
+    ok = np.isfinite(a) & (a > 0)
+    e = np.floor(np.log10(np.where(ok, a, 1.0))).astype(np.intp)
+    ok &= (e >= _E_MIN) & (e <= _E_MAX)
+    a, k = np.where(ok, a, 1.0), np.where(ok, 16 - e, 16) - _E_MIN
+    if ok.any():  # else skip straight to the fallback
+        a_top = a * _SPLIT - (a * _SPLIT - a)
+        a_low, b_top, b_low, s = a - a_top, hi_top[k], hi_low[k], a * hi[k]
+        r = ((a_top * b_top - s) + a_top * b_low + a_low * b_top) + a_low * b_low + a * lo[k]
+        tie = np.abs(np.abs(r - np.rint(r)) - 0.5) < 1e-6  # undecided unless the product is exact
+        ok &= (s >= 1e16 + 64) & (s <= 1e17 - 64) & ~(tie & (lo[k] != 0))
+    if not ok.any():
+        return f"{FLOAT_FORMAT},{FLOAT_FORMAT}\n" * (len(v) // 2) % tuple(v.tolist())
+    d = s.astype(np.int64) + np.rint(r).astype(np.int64)  # 17 digits where ok; s is even
+    groups = [d // 10**16, d // 10**12 % 10**4, d // 10**8 % 10**4, d // 10**4 % 10**4, d % 10**4]
+    fixed = (e >= -4) & (e < 17)  # %g's choice of 0.000ddd or ddd.dd over d.ddde+xx
+    point = np.where(fixed, e, 0)  # the digit that the decimal point follows
+    out = np.zeros((len(v), 48), np.uint8)  # 48: aligned 8-byte groups in bytes 8..39
+    out[:, 0], out[:, 6] = np.where(v < 0, 45, 0), groups[0] + 48  # sign, leading digit
+    last, tail = 0, True  # last: the last digit shown; tail: every later group is 0
+    for i in range(4, 0, -1):  # group i, digits 4i-3..4i, shows its integer part at least
+        pick = groups[i] + 10_000 * np.where(tail, np.clip(point + 4 - 4 * i, 0, 4), 4)
+        out[:, 8 * i:8 * i + 8].view("<u8")[:, 0] = groups_8[pick]
+        last, tail = last + shown[pick], tail & (groups[i] == 0)
+    dot = np.flatnonzero((last > point) & (point >= 0))
+    out[dot, 7 + 2 * point[dot]] = 46
+    small = np.flatnonzero(fixed & (e < 0))
+    out[small, 1:6] = np.where(np.arange(5) < 1 - e[small, None], [48, 46, 48, 48, 48], 0)
+    out[~fixed, 40:45] = exponents[e[~fixed] + 330]  # no carry: the printed exponent is e
+    rest = np.flatnonzero(~ok)  # at most 24 bytes each: sign, 17 digits, point, "e-308"
+    text = (f"{FLOAT_FORMAT}\0" * len(rest) % tuple(v[rest].tolist())).encode()
+    out[rest, :45] = np.array(text.split(b"\0")[:-1], "S45").view(np.uint8).reshape(-1, 45)
+    out.reshape(-1, 2, 48)[:, :, 47] = 44, 10  # "," and newline
+    return out.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def export_activation_csv(f: Activation, grid: np.ndarray) -> str:
-    """Sampled activation table with header ``x,f_x``, filled in one ``%`` operation."""
+    """Sampled activation table with header ``x,f_x`` and ``FLOAT_FORMAT`` values.
+
+    ``f`` is called once on the whole grid; ``_csv_rows``, an array kernel with
+    ``%`` as its fallback, writes the bytes of ``_CSV_BLOCK`` rows at a time.
+    """
     grid = np.asarray(grid, dtype=float)
-    rows = np.column_stack((grid, f(grid))).ravel().tolist()
-    return "x,f_x\n" + f"{FLOAT_FORMAT},{FLOAT_FORMAT}\n" * len(grid) % tuple(rows)
+    cuts = range(_CSV_BLOCK, len(grid), _CSV_BLOCK)
+    pairs = zip(np.split(grid, cuts), np.split(f(grid), cuts))
+    return "".join(["x,f_x\n"] + [_csv_rows(np.column_stack(pair).ravel()) for pair in pairs])

@@ -121,8 +121,12 @@ class GroupSpec:
 
 
 def check_invertible(k: int, a: np.ndarray, tol: float) -> None:
-    """Refuse generator ``k`` when its smallest singular value is at or below ``tol``."""
-    if np.linalg.norm(a, -2) <= tol:
+    """Refuse generator ``k`` when its smallest singular value is at or below ``tol``:
+    for a monomial matrix, its least coefficient magnitude, found without an SVD."""
+    monomial, coeffs = [False], None
+    if np.count_nonzero(a) == len(a):
+        monomial, _, coeffs = monomial_arrays(a[None], 0.0)
+    if (np.abs(coeffs[0]).min() if monomial[0] else np.linalg.norm(a, -2)) <= tol:
         raise ValueError(f"generator {k} is not invertible")
 
 

@@ -1,8 +1,9 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -25,6 +26,7 @@ from equichar import (
     tanh,
     verify_pointwise_equivariance,
 )
+from equichar.activations import _CSV_BLOCK
 
 
 class TestDecomposeScale:
@@ -376,7 +378,7 @@ class TestGridAndExport:
 
 
 # ---------------------------------------------------------------------------
-# CSV export: the one-fill writer against the one-row-at-a-time oracle
+# CSV export: the array kernel against the one-row-at-a-time oracle
 
 
 def _eta(seed: int, signed: bool):
@@ -387,9 +389,10 @@ def _eta(seed: int, signed: bool):
 
 
 SPECIAL_VALUES = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324]
+SPECIALS = custom("specials", lambda x: np.resize(SPECIAL_VALUES, x.shape))
 CSV_ACTIVATIONS = st.one_of(
     st.sampled_from([relu(), tanh(), identity()]),
-    st.just(custom("specials", lambda x: np.resize(SPECIAL_VALUES, x.shape))),
+    st.just(SPECIALS),
     st.builds(_eta, st.integers(0, 2**32 - 1), st.booleans()),
 )
 
@@ -408,5 +411,51 @@ def csv_grids(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(CSV_ACTIVATIONS, csv_grids())
+# past two blocks: a block length that is no multiple of 6 puts SPECIAL_VALUES
+# out of step with the oracle unless f is called once on the whole grid
+@example(SPECIALS, sample_grid(-3.0, 3.0, 2 * _CSV_BLOCK + 7))
+@example(SPECIALS, sample_grid(1e-300, 1e300, 2 * _CSV_BLOCK + 1, "log"))
 def test_export_activation_csv_matches_the_oracle(f, grid):
     assert export_activation_csv(f, grid) == _oracles.csv_oracle(f, grid)
+
+
+def _edge_values() -> np.ndarray:
+    """Values at every switch of the CSV kernel and of ``%.17g`` itself."""
+    tiny, huge = np.nextafter(0.0, 1.0), np.finfo(float).max
+    powers = np.array([float(f"1e{k}") for k in range(-330, 309)])
+    values = [
+        [0.0, -0.0, tiny, 2 * tiny, np.finfo(float).tiny, np.nextafter(np.finfo(float).tiny, 0.0),
+         1e-310, huge, np.nextafter(huge, 0.0), np.inf, -np.inf, np.nan],
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        2.0**49 + 0.125 + np.arange(64.0),  # exact ties at the 17th digit, odd and even
+        2.0**-25 * np.arange(1.0, 64.0, 2.0),  # ties where 10**(16 - e) is inexact
+        np.array([9.99999999999999e-5, 1e-4, 1.5e-5, 9.5e-5, 1.2345e16, 9.99e16, 1.2345e17]),
+        np.array([99999999999999999.0, 12345678901234567.0, 1e16 + 2, 1e17 - 16]),
+    ]
+    values = np.concatenate(values)
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("kind", ["edges", "bits"])
+def test_export_activation_csv_matches_float_format(kind):
+    """The array kernel against ``FLOAT_FORMAT %`` on every edge and 10**5 random bit patterns."""
+    rng = np.random.default_rng(21)
+    if kind == "edges":
+        grid = _edge_values()
+        values = grid[rng.permutation(len(grid))]
+    else:
+        grid, values = rng.integers(0, 2**64, (2, 50_000), dtype=np.uint64).view(np.float64)
+    fixed = custom("fixed", lambda x: values)
+    assert export_activation_csv(fixed, grid) == _oracles.csv_oracle(fixed, grid)
+
+
+def test_export_activation_csv_memory_stays_within_three_outputs():
+    f = build_eta_activation(2.0, EtaProfile.linear(2.0), signed=True)
+    grid = sample_grid(-50.0, 50.0, 200_000)
+    tracemalloc.start()
+    try:
+        text = export_activation_csv(f, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)

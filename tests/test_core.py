@@ -85,6 +85,31 @@ class TestGroupSpec:
         with pytest.raises(ValueError):
             GroupSpec("bad", 2, (np.zeros((2, 2)),))
 
+    def test_rejects_singular_generator_with_n_nonzero_entries(self):
+        # as many nonzero entries as a monomial matrix, but not monomial: the SVD decides
+        with pytest.raises(ValueError, match="generator 0 is not invertible"):
+            GroupSpec("bad", 2, (np.array([[1.0, 1.0], [0.0, 0.0]]),))
+
+    def test_monomial_least_coefficient_is_the_smallest_singular_value(self):
+        # check_invertible reads a monomial generator's smallest singular value
+        # off its coefficients; LAPACK's SVD agrees within a few ulps
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            n = int(rng.integers(1, 25))
+            coeffs = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-20.0, 20.0, n))
+            mat = MonomialForm(tuple(rng.permutation(n).tolist()), tuple(coeffs.tolist())).dense()
+            least = np.abs(coeffs).min()
+            assert abs(np.linalg.norm(mat, -2) - least) <= 4 * np.finfo(float).eps * least
+
+    @pytest.mark.parametrize("scale, refused", [(1e-9, True), (np.nextafter(1e-9, 1.0), False)])
+    def test_monomial_refused_at_the_tolerance_and_accepted_above(self, scale, refused):
+        mat = np.diag([1.0, -scale, 3.0])[[2, 0, 1]]
+        if refused:
+            with pytest.raises(ValueError, match="generator 0 is not invertible"):
+                GroupSpec("edge", 3, (mat,))
+        else:
+            assert GroupSpec("edge", 3, (mat,)).generators[0][2, 1] == -scale
+
     @pytest.mark.parametrize(
         "mat, b",
         [
