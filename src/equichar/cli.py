@@ -51,17 +51,14 @@ from .errors import (
     UnboundedGroupError,
 )
 from .normalize import signed_normalize
-from .repspaces import (
-    MAX_GRID_POINTS,
-    MAX_VERIFY_POINTS,
-    PermAction,
-    _coordinate_arrays,
-    equivariant_basis,
-    tensor_action,
-)
+from .repspaces import PermAction, _coordinate_arrays, equivariant_basis, tensor_action
 from .tclass import SubgroupKind, classify_group_detailed, maximal_family
 
 SCHEMA_VERSION = "equichar-report-v1"
+MAX_GRID_POINTS = 1_000_000  # export-activation rows
+# verify counts a trial's vectors x and M x as dimension + 200 points each, a generator's M x
+# and M f(x) as dimension^2 // 80: largest runs take 4-9 s of CPU (1 BLAS thread, 2-vCPU Xeon)
+MAX_VERIFY_POINTS = 150_000_000
 
 DENSITY_WARNING = (
     "density classification is a tolerance-based heuristic: the real GCD of "
@@ -421,12 +418,11 @@ def _cmd_verify(args) -> tuple[str, int]:
     spec, tol = _load_group_spec(args.spec, args.tol)
     if not spec.generators:
         raise ParseError(f"{args.spec}: verify needs at least one generator")
-    vectors = len(spec.generators) + 1  # x and each M x, in every trial
-    # a vector costs about as much again as 200 coordinates, whatever its dimension
-    if args.trials * vectors * (spec.n + 200) > MAX_VERIFY_POINTS:
+    gens, n = len(spec.generators), spec.n
+    if args.trials * ((gens + 1) * (n + 200) + gens * n * n // 80) > MAX_VERIFY_POINTS:
         raise SizeExceededError(
-            f"{args.trials} trials x {vectors} vectors x (dimension {spec.n} + 200)"
-            f" > {MAX_VERIFY_POINTS}"
+            f"{args.trials} trials x ({gens + 1} vectors x (dimension {n} + 200)"
+            f" + {gens} generators x {n}^2 // 80) > {MAX_VERIFY_POINTS}"
         )
     activation = _builtin_activation(args.activation, tol)
     result = verify_pointwise_equivariance(

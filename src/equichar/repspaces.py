@@ -30,10 +30,6 @@ from .errors import (
 )
 
 MAX_TENSOR_POINTS = 1_000_000
-MAX_GRID_POINTS = 1_000_000  # export-activation rows
-# verify: trials x (generators + 1) x (dimension + 200), so that the largest
-# accepted run takes about 6-8 s of CPU from dimension 1 to 160 (tanh, 2-vCPU Xeon)
-MAX_VERIFY_POINTS = 150_000_000
 MAX_BASIS_PAIRS = 10_000_000
 
 

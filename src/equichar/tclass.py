@@ -29,8 +29,8 @@ from .core import (
 )
 from .errors import DimensionTooLargeError, ShapeMismatchError
 
-# 2**20 subset sums per row is the largest exhaustive enumeration we allow.
-MAX_SUBSET_DIM = 20
+MAX_SUBSET_DIM = 20  # entries above tol in a row, which has 2^s subset sums for s of them
+MAX_SUBSET_SUMS = MAX_SUBSET_DIM << MAX_SUBSET_DIM  # a matrix's: as many as a dense 20 x 20's
 DEFAULT_GCD_ITER = 64
 # how far a complete closure's character averages may sit from integers
 CHARACTER_TOL = 1e-6
@@ -160,21 +160,20 @@ def _dedup_with_tol(v: np.ndarray, tol: float) -> tuple[float, ...]:
     keep[starts] = True
     wide = v[ends - 1] - v[starts] > tol
     for s, e in zip(starts[wide].tolist(), ends[wide].tolist()):
-        segment = v[s:e].tolist()
-        last = segment[0]
-        for j, x in enumerate(segment[1:], s + 1):
+        last, *rest = v[s:e].tolist()
+        for j, x in enumerate(rest, s + 1):
             if x - last > tol:
                 keep[j], last = True, x
     return tuple(v[keep].tolist())
 
 
 def subset_sum_generators(mats: Sequence, tol: float = DEFAULT_TOL) -> TGenerators:
-    """All nonzero row subset sums over the given matrices, of one dimension.
+    """All nonzero row subset sums over the given matrices, of one shape.
 
-    For a monomial matrix every row holds a single nonzero entry, so its
-    subset sums reduce to that entry set.  Non-monomial matrices are
-    enumerated exhaustively (2^n sums per row, all matrices in one product),
-    which is refused above dimension 20.
+    A row's subset sums are those of its entries above ``tol`` in magnitude
+    (smaller ones count as zero, as in ``core.monomial_arrays``), so a monomial
+    row gives its coefficient.  Refused, whatever the dimension: a row of over
+    20 such entries, and a matrix whose rows need over 20 * 2^20 sums together.
     """
     return TGenerators(_dedup_with_tol(_sorted_subset_sums(mats, tol), tol))
 
@@ -182,26 +181,37 @@ def subset_sum_generators(mats: Sequence, tol: float = DEFAULT_TOL) -> TGenerato
 def _sorted_subset_sums(mats: Sequence, tol: float) -> np.ndarray:
     """The values above ``tol`` in magnitude that ``subset_sum_generators`` thins, sorted.
 
-    Its arrays are freed on return, before the thinned values become floats.
+    The rows of s entries above ``tol`` meet the (2^s, s) table of subset
+    indicators in one product; the arrays are freed before the values become floats.
     """
     if len(mats) == 0:
         raise ValueError("mats must be nonempty")
-    stack = np.asarray(mats, dtype=float)
+    try:
+        stack = np.asarray(mats, dtype=float)
+    except ValueError:  # numpy's own text for ragged input names no shape
+        if len(shapes := {np.shape(m) for m in mats}) < 2:
+            raise
+        raise ShapeMismatchError(f"expected matrices of one shape, got {sorted(shapes)}") from None
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ShapeMismatchError(f"expected square matrices of one shape, got {stack.shape}")
     if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite")
-    n = stack.shape[1]
-    monomial, _, coeffs = monomial_arrays(stack, tol)
-    parts, rest = [coeffs[monomial].ravel()], stack[~monomial]
-    if len(rest):
-        if n > MAX_SUBSET_DIM:
-            raise DimensionTooLargeError(
-                f"non-monomial dimension {n} exceeds the subset-sum limit of {MAX_SUBSET_DIM}"
-            )
-        masks = np.arange(2**n, dtype=np.int64)
-        bits = (masks[:, None] >> np.arange(n)) & 1  # (2^n, n)
-        sums = np.matmul(rest, bits.T)  # (k, n, 2^n), row i holds all subset sums of row i
+    rows = stack.reshape(-1, stack.shape[2])
+    big = (rows > tol) | (rows < -tol)
+    counts = big.sum(axis=1)
+    if (top := int(counts.max(initial=0))) > MAX_SUBSET_DIM:
+        raise DimensionTooLargeError(
+            f"a row of {top} entries above tol exceeds the subset-sum limit of {MAX_SUBSET_DIM}"
+        )
+    if (need := int((1 << counts).reshape(len(stack), -1).sum(axis=1).max())) > MAX_SUBSET_SUMS:
+        raise DimensionTooLargeError(
+            f"a matrix of {need} row subset sums exceeds the subset-sum limit of {MAX_SUBSET_SUMS}"
+        )
+    bits = ((np.arange(2**top)[:, None] >> np.arange(top)) & 1).astype(float)  # (2^top, top)
+    parts = [np.empty(0)]
+    for s in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():  # the counts present
+        group = counts == s
+        sums = rows[group][big[group]].reshape(-1, s) @ bits[: 2**s, :s].T
         parts.append(sums[(sums > tol) | (sums < -tol)])
     values = np.concatenate(parts)
     values.sort()
@@ -253,11 +263,9 @@ def classify_subgroup(
         g = _real_gcd(g, x, tol, max_iter)
         if g <= floor:
             break
-    if g > floor:
-        for x in _log_magnitudes(gens.values, tol):
-            if abs(x - round(x / g) * g) > tol:
-                g = 0.0
-                break
+    logs = _log_magnitudes(gens.values, tol)
+    if g > floor and any(abs(x - round(x / g) * g) > tol for x in logs):
+        g = 0.0
     if g <= floor:
         return SubgroupClass(_KIND_OF_SHAPE[has_negative, _DENSE])
     return SubgroupClass(_KIND_OF_SHAPE[has_negative, _POWERS], math.exp(g))
@@ -300,23 +308,23 @@ def classify_group_detailed(
     monomials, _, coeffs = monomial_arrays(stack, tol)
     monomial = bool(monomials.all())
     unit_row = all(is_unit_row(g, tol) for g in spec.generators)
+    non_negative = monomial and bool((coeffs > 0).all())
     if monomial:
-        non_negative = bool((coeffs > 0).all())
-        # a monomial matrix's row subset sums are its coefficients: pass each as a 1x1 matrix
+        # a monomial row's subset sums are its coefficient: pass each as a 1x1 matrix
         values = coeffs.reshape(-1, 1, 1) if coeffs.size else np.ones((1, 1, 1))  # no generators
         tclass = classify_subgroup(subset_sum_generators(values, tol), tol)
     else:
-        non_negative = False
         # The generators lie in the closure, so their subset sums are among
         # the closure's, and a Dense class from them is final.  Taken first,
-        # they refuse a dimension past the subset-sum limit before any
-        # eigenvalue or closure work.
+        # they refuse a row past the subset-sum limit before any eigenvalue
+        # or closure work.
         tclass = classify_subgroup(subset_sum_generators(spec.generators, tol), tol)
         # Every element of a finite group has its eigenvalues on the unit
         # circle.  Off it (|log|lambda|| > n*tol), a generator's powers grow
         # or shrink without bound: the closure would run to the cap, or
         # converge within tol and stop early at a wrong "finite" group.
         finite = np.abs(np.log(np.abs(np.linalg.eigvals(stack)))).max() <= spec.n * tol
+        cap = max(1, min(cap, cap * 400 // spec.n**2))  # past n = 20: no more entries than at 20
         fallback = "scalar subgroup computed from generators only (approximation)"
         if not (finite and (closure := close_group(spec, cap, tol)).complete):
             notes.append(f"closure did not stabilize below the element cap; {fallback}")

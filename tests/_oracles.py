@@ -146,17 +146,14 @@ def dedup_with_tol(values, tol: float) -> tuple[float, ...]:
 def subset_sum_values(mats, tol: float) -> tuple[float, ...]:
     """``subset_sum_generators(mats, tol).values``, one matrix at a time.
 
-    A monomial matrix contributes its coefficients; any other matrix all of
-    its row subset sums above ``tol`` in magnitude, from one product with the
-    (n, 2^n) table of subset indicators.
+    Every entry at or below ``tol`` in magnitude is set to zero; then all row
+    subset sums above ``tol`` come from one product with the (n, 2^n) table
+    of subset indicators.
     """
     values: list[float] = []
     for m in mats:
         a = np.asarray(m, dtype=float)
-        form = monomial_decompose(a, tol)
-        if form is not None:
-            values.extend(form.coeffs)
-            continue
+        a = np.where(np.abs(a) > tol, a, 0.0)
         n = a.shape[0]
         masks = np.arange(2**n, dtype=np.int64)
         bits = (masks[:, None] >> np.arange(n)) & 1

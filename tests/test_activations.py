@@ -47,6 +47,10 @@ class TestDecomposeScale:
         n, y = decompose_scale(2.0**10 * (1 - 1e-13), 2.0)
         assert (n, y) == (10, 1.0)
 
+    def test_exponent_one_too_high_is_corrected_down(self):
+        # log(x) / log(2) rounds up to 3 for the float just below 8
+        assert decompose_scale(np.nextafter(8.0, 0.0), 2.0, tol=1e-20) == (2, 1.9999999999999998)
+
     def test_subnormal_input_decomposes_without_a_warning(self):
         b = 2.779554061750642  # the first guess of b**n rounds to 0 for x = 5e-324
         n, y = decompose_scale(5e-324, b)

@@ -308,7 +308,8 @@ class TestVerifyCommand:
         assert time.perf_counter() - start < 5.0
         assert (result.returncode, result.stdout) == (3, "")
         assert result.stderr == (
-            f"error: {trials} trials x 2 vectors x (dimension 3 + 200) > 150000000\n"
+            f"error: {trials} trials x (2 vectors x (dimension 3 + 200)"
+            " + 1 generators x 3^2 // 80) > 150000000\n"
         )
 
     def test_largest_accepted_trials_reach_verify(self, main_cli, p_spec, monkeypatch):
@@ -320,6 +321,20 @@ class TestVerifyCommand:
         for trials, code in (("369458", 0), ("369459", 3)):
             result = main_cli("verify", str(p_spec), "--activation", "tanh", "--trials", trials)
             assert result.returncode == code
+
+    def test_matrix_products_count_past_dimension_160(self, main_cli, tmp_path, monkeypatch):
+        """At n = 400 a trial counts 2 x 600 points for its vectors and 400^2 // 80
+        for its generator's two products; 46,875 trials fit, one more does not."""
+        def passing(f, mats, *, trials, tol, seed):
+            return EquivarianceReport(True, trials, 0.0, None)
+
+        monkeypatch.setattr(cli, "verify_pointwise_equivariance", passing)
+        cycle = np.roll(np.eye(400), 1, axis=0)
+        spec = write_spec(tmp_path / "c400.json", "c400", [cycle])
+        for trials, code in (("46875", 0), ("46876", 3)):
+            result = main_cli("verify", str(spec), "--activation", "tanh", "--trials", trials)
+            assert result.returncode == code
+        assert result.stderr.count("\n") == 1 and result.stdout == ""
 
 
 class TestExportActivationCommand:
@@ -647,9 +662,9 @@ def test_help_still_prints_usage_and_exits_0(capsys):
 
 class TestDimensionLimit:
     def test_large_non_monomial_classify_exits_3(self, main_cli, tmp_path):
-        shear = np.eye(21)
-        shear[0, 1] = 1.0
-        spec = write_spec(tmp_path / "big.json", "shear21", [shear])
+        dense_row = np.eye(21)
+        dense_row[0] = 1.0  # 21 entries above tol in row 0
+        spec = write_spec(tmp_path / "big.json", "dense-row21", [dense_row])
         result = main_cli("classify", str(spec))
         assert result.returncode == 3
         assert "subset-sum limit" in result.stderr

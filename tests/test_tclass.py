@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from equichar import (
     FamilyKind,
     GroupClassification,
     GroupSpec,
+    ShapeMismatchError,
     SubgroupClass,
     SubgroupKind,
     TGenerators,
@@ -70,18 +72,104 @@ class TestSubsetSumGenerators:
 
     def test_dimension_cap_for_non_monomial(self):
         big = np.eye(21)
-        big[0, 1] = 1.0
+        big[0] = 1.0  # one row of 21 entries above tol: 2^21 sums
         with pytest.raises(DimensionTooLargeError):
             subset_sum_generators([big])
 
     def test_group_past_the_cap_is_refused_before_eigenvalues_or_closure(self, monkeypatch):
         big = np.eye(21)
-        big[0, 1] = 1.0
-        spec = spec_of("shear21", big)
+        big[0] = 1.0
+        spec = spec_of("dense-row21", big)
         monkeypatch.setattr(tclass, "close_group", lambda *a: pytest.fail("closure was run"))
         monkeypatch.setattr(np.linalg, "eigvals", lambda *a: pytest.fail("eigvals was run"))
-        with pytest.raises(DimensionTooLargeError, match="dimension 21 exceeds the subset-sum"):
+        with pytest.raises(DimensionTooLargeError, match="a row of 21 entries above tol exceeds"):
             classify_group_detailed(spec)
+
+    def test_rows_of_few_entries_classify_past_dimension_20(self):
+        # the 21-dimensional shear: at most two entries per row, sums {1, 2}
+        shear = np.eye(21)
+        shear[0, 1] = 1.0
+        c, notes = classify_group_detailed(spec_of("shear21", shear))
+        assert (c.tclass.kind, c.tclass.b) == (SubgroupKind.POWERS_OF_B, 2.0)
+        assert notes == [
+            "closure did not stabilize below the element cap; "
+            "scalar subgroup computed from generators only (approximation)"
+        ]
+
+    def test_shear_past_dimension_20_holds_a_bounded_closure(self):
+        # an infinite group with every eigenvalue 1: the closure runs to its cap,
+        # which past dimension 20 shrinks so that it holds as many entries as at 20
+        shear = np.eye(160)
+        shear[0, 1] = 1.0
+        start = time.process_time()
+        tracemalloc.start()
+        try:
+            c, notes = classify_group_detailed(spec_of("shear160", shear))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.process_time() - start < 2.0 and peak < 200e6
+        assert (c.tclass.kind, c.tclass.b) == (SubgroupKind.POWERS_OF_B, 2.0)
+        assert len(notes) == 1 and notes[0].startswith("closure did not stabilize")
+
+    def test_closure_cap_shrinks_past_dimension_20(self, monkeypatch):
+        caps = []  # the cap each closure is given; each then runs with cap 1
+        monkeypatch.setattr(
+            tclass, "close_group", lambda spec, cap, tol: caps.append(cap) or close_group(spec, 1, tol)
+        )
+        for n, cap in ((2, 10_000), (20, 10_000), (21, 10_000), (160, 10_000), (160, 10)):
+            shear = np.eye(n)
+            shear[0, 1] = 1.0
+            classify_group_detailed(spec_of(f"shear{n}", shear), cap=cap)
+        assert caps == [10_000, 10_000, 9070, 156, 1]
+
+    def test_many_full_rows_are_refused_before_eigenvalues_or_closure(self, monkeypatch):
+        # 160 rows of up to 20 entries: each row is within the limit, but the
+        # matrix needs 149 million sums, more than a dense 20 x 20 one's 20 * 2^20
+        band = np.eye(160) + np.triu(np.tril(np.ones((160, 160)), 19), 1)
+        monkeypatch.setattr(tclass, "close_group", lambda *a: pytest.fail("closure was run"))
+        monkeypatch.setattr(np.linalg, "eigvals", lambda *a: pytest.fail("eigvals was run"))
+        with pytest.raises(DimensionTooLargeError, match="row subset sums exceeds the subset-sum"):
+            classify_group_detailed(spec_of("band160", band))
+
+    def test_sum_limit_admits_a_dense_matrix_of_the_row_limit(self, monkeypatch):
+        # scaled down to rows of at most 3 entries: a dense 3 x 3 matrix needs
+        # 3 * 2^3 sums, exactly the limit; a 4 x 4 one of three entries a row needs 4 * 2^3
+        monkeypatch.setattr(tclass, "MAX_SUBSET_DIM", 3)
+        monkeypatch.setattr(tclass, "MAX_SUBSET_SUMS", 3 << 3)
+        assert subset_sum_generators([np.full((3, 3), 2.0)]).values == (2.0, 4.0, 6.0)
+        with pytest.raises(DimensionTooLargeError, match="a matrix of 32 row subset sums"):
+            subset_sum_generators([np.ones((4, 4)) - np.eye(4)])
+
+    @pytest.mark.parametrize("n", [20, 22, 160])
+    def test_block_inputs_classify_in_bounded_time_and_memory(self, n):
+        # n/2 copies of the order-3 block: rows of one or two entries, so a
+        # few sums per row however large n is
+        spec = spec_of(f"blocks{n}", np.kron(np.eye(n // 2), [[0.0, 1.0], [-1.0, -1.0]]))
+        start = time.process_time()
+        tracemalloc.start()
+        try:
+            c, notes = classify_group_detailed(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.process_time() - start < 1.0 and peak < 20e6
+        assert (c.tclass.kind, c.tclass.b, notes) == (SubgroupKind.SIGNED_POWERS_OF_B, 2.0, [])
+
+    def test_entries_at_or_below_tol_add_no_sums(self):
+        g = np.eye(6)
+        g[:2, :2] = [[0.0, 1.0], [-1.0, -1.0]]
+        g[2, 3:] = 4e-10  # counted as entries, they would give the sums 1.2e-9 and 1.0000000012
+        c = classify_group(spec_of("sub-tol", g))
+        assert (c.tclass.kind, c.tclass.b) == (SubgroupKind.SIGNED_POWERS_OF_B, 2.0)
+        assert maximal_family(c) == ActivationFamily(FamilyKind.LINEAR_ONLY)
+
+    def test_row_without_entries_above_tol_adds_nothing(self):
+        assert subset_sum_generators([np.diag([1e-12, 2.0])]).values == (2.0,)
+
+    def test_matrices_of_two_shapes_are_refused_by_name(self):
+        with pytest.raises(ShapeMismatchError, match=r"one shape, got \[\(2, 2\), \(3, 3\)\]"):
+            subset_sum_generators([np.eye(2), np.eye(3)])
 
     def test_values_are_deduplicated_and_sorted(self, p_matrix):
         assert subset_sum_generators([p_matrix, np.eye(3)]).values == (1.0,)
@@ -116,6 +204,12 @@ class TestClassifySubgroup:
         # g = 1.1e-16 clears 1000 * 1e-20 but exp(g) == 1.0: no base can be named
         got = classify_subgroup(TGenerators((0.9999999999999999,)), tol=1e-20)
         assert got.kind is SubgroupKind.DENSE_POSITIVE
+
+    def test_gcd_above_the_floor_must_divide_every_log(self):
+        # the Euclidean chain stops at g = 27.48426777079763, above the floor,
+        # but the larger log is 2.5e-9 off 4 g: no base b has both as powers
+        values = (math.exp(27.48426777164437), math.exp(109.93707108573074))
+        assert classify_subgroup(TGenerators(values)).kind is SubgroupKind.DENSE_POSITIVE
 
     def test_iteration_budget_exhaustion_falls_back_to_dense(self):
         got = classify_subgroup(TGenerators((2.0, 3.0)), max_iter=1)
@@ -372,7 +466,8 @@ def test_character_defect_is_none_on_finite_groups():
 
 def _subset_sum_corpus():
     """Seeded matrix lists: closures of conjugated S_k and skewed rotations,
-    monomial matrices with entries at or below tol off their support, and
+    monomial and non-monomial matrices with entries at or below tol (and some
+    just above it) in place of zeros, and
     diagonal matrices whose entries are chains spaced 0.6 tol (clusters wider than tol)."""
     rng = np.random.default_rng(21)
     tol = 1e-9
@@ -393,6 +488,11 @@ def _subset_sum_corpus():
     gaps = rng.choice([0.3, 0.6, 0.9, 1.1, 5.0], size=60) * tol
     chain = 2.0 + np.cumsum(gaps)
     corpus.append([np.diag(chain[i:i + 3]) for i in range(0, 60, 3)] + corpus[0][:4])
+    for base in (np.kron(np.eye(2), [[0.0, 1.0], [-1.0, -1.0]]), rng.standard_normal((4, 4))):
+        off = base == 0
+        base[rng.random((4, 4)) < 0.3] = 0.0
+        corpus.append([base, base + tol * (base == 0), base - 0.5 * tol * (base == 0),
+                       base + 1.5 * tol * off, base + rng.uniform(-tol, tol, (4, 4))])
     return corpus
 
 
