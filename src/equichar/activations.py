@@ -428,12 +428,14 @@ def _csv_rows(v: np.ndarray) -> str:
     1e-14, and exact where lo = 0.  Rounded half to even, it gives 17 digits,
     laid out in fixed byte slots (sign, "0.000", digit and point pairs, "e+ddd",
     separator) whose NULs are dropped.  ``FLOAT_FORMAT % x`` overwrites what
-    that cannot settle: zero, inf, NaN, e out of range, s within 64 of 10**16
-    or 10**17 (|r| < 20: no carry), an inexact r within 1e-6 of a half-integer.
+    that cannot settle: inf, NaN, e out of range, s within 64 of 10**16 or
+    10**17 (|r| < 20: no carry), an inexact r within 1e-6 of a half-integer.
+    A zero is written as ``0`` or ``-0``, its sign from ``np.signbit``.
     """
     hi, lo, hi_top, hi_low, groups_8, shown, exponents = _csv_tables()
     a = np.abs(v)
-    ok = np.isfinite(a) & (a > 0)
+    zero = a == 0
+    ok = np.isfinite(a) & ~zero
     e = np.floor(np.log10(np.where(ok, a, 1.0))).astype(np.intp)
     ok &= (e >= _E_MIN) & (e <= _E_MAX)
     a, k = np.where(ok, a, 1.0), np.where(ok, 16 - e, 16) - _E_MIN
@@ -446,11 +448,12 @@ def _csv_rows(v: np.ndarray) -> str:
     if not ok.any():
         return f"{FLOAT_FORMAT},{FLOAT_FORMAT}\n" * (len(v) // 2) % tuple(v.tolist())
     d = s.astype(np.int64) + np.rint(r).astype(np.int64)  # 17 digits where ok; s is even
+    d[zero] = 0  # with e = 0: the digit 0 alone
     groups = [d // 10**16, d // 10**12 % 10**4, d // 10**8 % 10**4, d // 10**4 % 10**4, d % 10**4]
     fixed = (e >= -4) & (e < 17)  # %g's choice of 0.000ddd or ddd.dd over d.ddde+xx
     point = np.where(fixed, e, 0)  # the digit that the decimal point follows
     out = np.zeros((len(v), 48), np.uint8)  # 48: aligned 8-byte groups in bytes 8..39
-    out[:, 0], out[:, 6] = np.where(v < 0, 45, 0), groups[0] + 48  # sign, leading digit
+    out[:, 0], out[:, 6] = np.where(np.signbit(v), 45, 0), groups[0] + 48  # sign, first digit
     last, tail = 0, True  # last: the last digit shown; tail: every later group is 0
     for i in range(4, 0, -1):  # group i, digits 4i-3..4i, shows its integer part at least
         pick = groups[i] + 10_000 * np.where(tail, np.clip(point + 4 - 4 * i, 0, 4), 4)
@@ -461,7 +464,7 @@ def _csv_rows(v: np.ndarray) -> str:
     small = np.flatnonzero(fixed & (e < 0))
     out[small, 1:6] = np.where(np.arange(5) < 1 - e[small, None], [48, 46, 48, 48, 48], 0)
     out[~fixed, 40:45] = exponents[e[~fixed] + 330]  # no carry: the printed exponent is e
-    rest = np.flatnonzero(~ok)  # at most 24 bytes each: sign, 17 digits, point, "e-308"
+    rest = np.flatnonzero(~(ok | zero))  # at most 24 bytes each: sign, 17 digits, point, "e-308"
     text = (f"{FLOAT_FORMAT}\0" * len(rest) % tuple(v[rest].tolist())).encode()
     out[rest, :45] = np.array(text.split(b"\0")[:-1], "S45").view(np.uint8).reshape(-1, 45)
     out.reshape(-1, 2, 48)[:, :, 47] = 44, 10  # "," and newline

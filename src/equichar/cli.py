@@ -23,7 +23,8 @@ import json
 import math
 import os
 import sys
-from itertools import chain
+from itertools import accumulate, chain
+from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,8 @@ from .errors import (
     UnboundedGroupError,
 )
 from .normalize import signed_normalize
-from .repspaces import PermAction, _coordinate_arrays, equivariant_basis, tensor_action
+from .repspaces import PermAction, _coordinate_arrays, check_basis_size
+from .repspaces import equivariant_basis, tensor_action
 from .tclass import SubgroupKind, classify_group_detailed, maximal_family
 
 SCHEMA_VERSION = "equichar-report-v1"
@@ -90,10 +92,12 @@ def _render(obj, indent: int, out: list[str]) -> None:
     if isinstance(obj, dict):
         sep = "{\n" + child
         for k, v in obj.items():
-            out.append(f"{sep}{json.dumps(str(k))}: ")
+            out.append(f"{sep}{_json_string(str(k))}: ")
             _render(v, indent + 2, out)
             sep = ",\n" + child
         out.append("\n" + " " * indent + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)) and _stackable(obj):
+        _render_arrays(obj, True, indent, out)
     elif isinstance(obj, (list, tuple)):
         sep = "[\n" + child
         for v in obj:
@@ -102,7 +106,7 @@ def _render(obj, indent: int, out: list[str]) -> None:
             sep = ",\n" + child
         out.append("\n" + " " * indent + "]" if obj else "[]")
     elif isinstance(obj, np.ndarray) and obj.size and obj.dtype.kind in "biuf":
-        _render_array(obj, indent, out)
+        _render_arrays((obj,), False, indent, out)
     elif isinstance(obj, np.ndarray):  # empty or unusual arrays as nested lists
         _render(obj.tolist(), indent, out)
     else:
@@ -120,45 +124,69 @@ def _leaf(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _json_string(obj)
     raise TypeError(f"cannot render {type(obj)!r} in a report")
 
 
-def _template(shape: tuple[int, ...], indent: int, slot: str) -> str:
-    """The JSON text of an array of ``shape`` at ``indent``, with ``slot`` for every leaf."""
-    if not shape:
-        return slot
-    pad = " " * (indent + 2)
-    inner = _template(shape[1:], indent + 2, slot)
-    return "[\n" + pad + inner + (",\n" + pad + inner) * (shape[0] - 1) + "\n" + pad[2:] + "]"
+def _stackable(items) -> bool:
+    """True for nonempty numeric or bool arrays of one dtype kind and one shape past axis 0."""
+    head = items[0] if items else None
+    return isinstance(head, np.ndarray) and head.dtype.kind in "biuf" and all(
+        isinstance(a, np.ndarray) and a.size and a.ndim and a.dtype.kind == head.dtype.kind
+        and a.shape[1:] == head.shape[1:] for a in items
+    )
 
 
-def _render_array(a: np.ndarray, indent: int, out: list[str]) -> None:
-    """``_render(a.tolist(), indent, out)`` for a nonempty array of booleans or numbers."""
-    flat = a.ravel()
-    if a.dtype.kind in "iu":  # one fill of a template: faster than a join per row
-        out.append(_template(a.shape, indent, "%d") % tuple(flat.tolist()))
-        return
-    if a.dtype.kind == "f":
-        # each distinct float once; keyed on its bits, so -0.0 stays apart from 0.0
-        bits = flat.astype(float, copy=False).view(np.int64)
-        order = np.argsort(bits, kind="stable")  # np.unique's values and inverse, sorted faster
-        first = np.concatenate(([True], np.diff(ordered := bits[order]) != 0))
-        inverse = np.empty_like(order)
-        inverse[order] = np.cumsum(first) - 1
-        texts = np.array([_leaf(x) for x in ordered[first].view(float).tolist()], dtype=object)
-        leaves = texts[inverse].tolist()
+def _render_arrays(arrays, listed: bool, indent: int, out: list[str]) -> None:
+    """Append the JSON text of ``arrays[0]``, or of the list ``arrays`` when ``listed``: each
+    leaf's text and the separator after it, from one table keyed by (distinct value, number
+    of bracket levels that close after the leaf), gathered once and joined with the report."""
+    first, levels = arrays[0], arrays[0].ndim + listed
+    flat = np.concatenate(arrays, axis=None) if listed else first.ravel()
+    kind = flat.dtype.kind
+    if kind == "b":
+        key, values = flat.astype(np.intp), (False, True)
+    elif kind in "iu" and int(hi := flat.max()) - int(lo := flat.min()) < 2 * flat.size:
+        key = np.subtract(flat, lo, dtype=np.intp, casting="unsafe")  # offsets from the least
+        values = range(int(lo), int(hi) + 1)
+    else:  # sorted; floats keyed on their bits, so -0.0 stays apart from 0.0
+        flat = flat.astype(float, copy=False).view(np.int64) if kind == "f" else flat
+        values = np.sort(flat)
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+        key = values.searchsorted(flat)
+        values = (values.view(float) if kind == "f" else values).tolist()
+    del flat  # of the arrays, only the key lives through the gather
+    width = levels + 1
+    key *= width  # the closing levels c are added in place: key = value * width + c
+    key[-1] += bool(levels)  # the outermost level, if there is one
+    inner = first.shape[1:]  # the levels that close at fixed strides
+    if listed and all(a.shape == first.shape for a in arrays):
+        inner = first.shape  # equal arrays close like their stack
+    elif listed:
+        key[[end - 1 for end in accumulate(a.size for a in arrays)]] += 1  # each array
+    for stride in (math.prod(inner[axis:]) for axis in range(len(inner))):
+        key[stride - 1 :: stride] += 1
+    close, prefix, seps = "", "", []  # after a leaf: c closes, a comma and c opens, or the end
+    for pad in (" " * (indent + 2 * (levels - c)) for c in range(levels)):
+        seps.append(close + ",\n" + pad + prefix)
+        close, prefix = close + "\n" + pad[2:] + "]", "[\n" + pad + prefix
+    seps.append(close)
+    texts = [_leaf(v) for v in values]
+    if len(texts) * width > key.size + 64:  # a sparse table: only the keys that occur
+        used, key = np.unique(key, return_inverse=True)
+        table = [texts[k // width] + seps[k % width] for k in used.tolist()]
     else:
-        leaves = np.where(flat, "true", "false").tolist()
-    # a join per row, which is faster for floats than one fill of a %s template
-    for axis in range(a.ndim - 1, -1, -1):  # the rows of the last axis first
-        pad = " " * (indent + 2 * axis)
-        sep, head, tail, w = ",\n  " + pad, "[\n  " + pad, "\n" + pad + "]", a.shape[axis]
-        leaves = [head + sep.join(leaves[i : i + w]) + tail for i in range(0, len(leaves), w)]
-    out.append(leaves[0])
+        table = [text + sep for text in texts for sep in seps]
+    pieces = np.array(table, dtype=object)[key]
+    del key
+    out.append(prefix)
+    out += pieces.tolist()
 
 
 def render_report(report: dict) -> str:
+    """The report as JSON text.  Each array, and each list of arrays that stack but for their
+    first axis, is written in one pass: a table of every (distinct value, closing brackets)
+    pair's text, one gather from it, and the one join of the whole report."""
     out: list[str] = []
     _render(report, 0, out)
     out.append("\n")
@@ -399,6 +427,7 @@ _GROUPS = {"sym": symmetric_action_generators, "cyclic": cyclic_action_generator
 def _cmd_basis(args) -> tuple[str, int]:
     if min(args.n, args.k_in, args.k_out) < 1:
         raise ParseError("--n, --k-in and --k-out must be at least 1")
+    check_basis_size(args.n, args.k_in, args.k_out)  # before any generator or array
     images = _GROUPS.get(args.group)
     base = PermAction(args.n, images(args.n)) if images else _load_action(args.group, args.n)
     a_in = tensor_action(args.n, args.k_in, base)

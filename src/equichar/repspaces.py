@@ -153,6 +153,25 @@ def orbits(action: PermAction) -> OrbitDecomposition:
     return OrbitDecomposition(tuple(tuple(points[a:b]) for a, b in bounds))
 
 
+def _power_at_most(n: int, k: int, limit: int, what: str, unit: str) -> int:
+    """n**k for n, k >= 1, refused with ``SizeExceededError`` above ``limit``.
+
+    A base of 2 or more with k past ``limit``'s bit length is refused before
+    the power is formed, so a huge k costs no time.
+    """
+    if (n > 1 and k >= limit.bit_length()) or n**k > limit:
+        raise SizeExceededError(f"{what} would need {n}^{k} {unit} (limit {limit})")
+    return n**k
+
+
+def check_basis_size(n: int, k_in: int, k_out: int) -> None:
+    """Refuse a basis between order-k_in and order-k_out tensor actions on n points that
+    would pass ``MAX_TENSOR_POINTS`` or ``MAX_BASIS_PAIRS``, before anything is built."""
+    for k in (k_in, k_out):
+        _power_at_most(n, k, MAX_TENSOR_POINTS, "tensor action", "points")
+    _power_at_most(n, k_in + k_out, MAX_BASIS_PAIRS, "layer basis", "pairs")
+
+
 def tensor_action(n: int, k: int, gens: PermAction | Sequence[Sequence[int]]) -> PermAction:
     """Coordinatewise action on k-tuples over ``range(n)``.
 
@@ -164,15 +183,12 @@ def tensor_action(n: int, k: int, gens: PermAction | Sequence[Sequence[int]]) ->
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    points = n**k
-    if points > MAX_TENSOR_POINTS:
-        raise SizeExceededError(
-            f"tensor action would need {points} points (limit {MAX_TENSOR_POINTS})"
-        )
+    points = _power_at_most(n, k, MAX_TENSOR_POINTS, "tensor action", "points")
     base = gens if isinstance(gens, PermAction) else PermAction(n, gens)
     if base.size != n:
         raise ValueError(f"generators act on {base.size} points, expected {n}")
-    powers = n ** np.arange(k, dtype=np.intp)
+    # one point has one k-tuple, which lifts like a 1-tuple: no k-long arrays at n = 1
+    powers = n ** np.arange(k if n > 1 else 1, dtype=np.intp)
     digits = np.arange(points)[:, None] // powers % n
     # A coordinatewise lift of bijections is a bijection: no second check.
     return PermAction._vetted(base.images[:, digits] @ powers, f"tensor(n={n},k={k})")

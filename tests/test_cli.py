@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -22,7 +23,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = os.environ.copy()
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("EQUICHAR_TOL", None)
@@ -33,6 +34,7 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -223,6 +225,43 @@ class TestBasisCommand:
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1
+
+    HUGE = "99999999999999999999"
+
+    # each ran for minutes or ended in a traceback before the limits were checked first;
+    # a subprocess, so that a regression fails on the timeout instead of hanging the suite
+    @pytest.mark.parametrize(
+        "n, k_in, group",
+        [("3", "100000", "sym"), (HUGE, "1", "sym"), ("3", HUGE, "cyclic"), (HUGE, "1", "cyclic")],
+    )
+    def test_limits_refuse_huge_arguments_at_once(self, n, k_in, group):
+        argv = ["basis", "--n", n, "--k-in", k_in, "--k-out", "1", "--group", group]
+        result = run_cli(*argv, timeout=30)
+        assert result.returncode == 3 and result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+    def test_one_point_answers_for_any_order(self, main_cli):
+        start = time.process_time()
+        argv = ["basis", "--n", "1", "--k-in", self.HUGE, "--k-out", "2", "--group", "sym"]
+        result = main_cli(*argv)
+        assert time.process_time() - start < 1.0
+        assert result.returncode == 0 and result.stderr == ""
+        report = json.loads(result.stdout)
+        assert report["input"]["kIn"] == int(self.HUGE)
+        assert report["basis"] == {"dimIn": 1, "dimOut": 1, "count": 1, "elements": [[[0, 0]]]}
+
+    def test_render_peak_memory_stays_near_the_output(self, main_cli, monkeypatch):
+        reports = []
+        monkeypatch.setattr(cli, "render_report", lambda report: reports.append(report) or "")
+        main_cli("basis", "--n", "6", "--k-in", "3", "--k-out", "3", "--group", "sym")
+        monkeypatch.undo()
+        tracemalloc.start()  # a join per row peaks at 2.01x, a pass keeping every array at 2.67x
+        try:
+            text = cli.render_report(reports[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * len(text)
 
     # sha256 of stdout, taken when each element was rendered from a list of (row, col) tuples
     @pytest.mark.parametrize(
@@ -882,6 +921,28 @@ def test_fuzzed_inputs_get_a_report_or_one_error_line(files, parts, out, tmp_pat
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 0.1, 1 / 3]
 FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())  # st.floats() draws nan, inf
 SHAPES = st.one_of(st.sampled_from([(), (0,), (2, 0), (0, 3)]), hnp.array_shapes(min_dims=1))
+# (dtype, elements) of one dtype kind, for lists of arrays that stack but for their first axis
+STACK_KINDS = [
+    (np.float64, FLOATS),
+    (np.float32, st.floats(width=32)),
+    (np.int64, st.integers(-(2**63), 2**63 - 1)),
+    (np.int64, st.integers(-5, 5)),
+    (np.int8, st.integers(-128, 127)),
+    (np.uint64, st.integers(2**63, 2**64 - 1)),
+    (np.bool_, st.booleans()),
+]
+
+
+@st.composite
+def stacking_lists(draw):
+    """Arrays of one dtype that differ in their first axis only, as a list or a tuple."""
+    dtype, elements = draw(st.sampled_from(STACK_KINDS))
+    rest = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3))
+    firsts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    arrays = [draw(hnp.arrays(dtype, (m, *rest), elements=elements)) for m in firsts]
+    return draw(st.sampled_from([arrays, tuple(arrays)]))
+
+
 ARRAYS = st.one_of(
     hnp.arrays(np.float64, SHAPES, elements=FLOATS),
     hnp.arrays(np.float32, SHAPES, elements=st.floats(width=32)),
@@ -890,8 +951,11 @@ ARRAYS = st.one_of(
     hnp.arrays(np.uint64, SHAPES, elements=st.integers(2**63, 2**64 - 1)),
     hnp.arrays(np.uint8, SHAPES),
     hnp.arrays(np.bool_, SHAPES),
+    hnp.arrays(np.int64, SHAPES, elements=st.integers(-3, 3)),  # small spans, negative values
+    hnp.arrays(np.int16, SHAPES, elements=st.integers(-(2**15), 2**15 - 1)),  # wide spans
     # what ``basis`` passes: each element's (k, 2) support coordinates
     st.lists(hnp.arrays(np.intp, st.tuples(st.integers(1, 6), st.just(2))), max_size=4),
+    stacking_lists(),
 )
 SCALARS = st.one_of(
     st.none(),
@@ -918,6 +982,17 @@ REPORT_VALUES = st.recursive(
 
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(st.text(), REPORT_VALUES, max_size=4))
+@example({"v": [np.array([1, 2]), np.array(5)]})  # shape () past axis 0, but no axis 0
+@example({"v": [np.array([0.0, -0.0, np.nan]), np.array([np.inf, -np.inf, -0.0])]})
+@example({"v": (np.array([[0.0], [-0.0]]), np.array([[np.nan]], np.float32))})
+@example({"v": np.array([-7, 40, -7]), "w": np.array([[-2, -1], [0, -2]])})  # span 47 > 2 x 3
+@example({"v": [np.array([2**63, 2**64 - 1], np.uint64), np.array([2**63 + 1], np.uint64)]})
+@example({"v": np.array([2**63 + 2, 2**63], np.uint64), "w": np.array([-99, 99] * 99, np.int8)})
+@example({"v": [np.array([1, 2]), np.array([1.0, 2.0])]})  # kinds differ
+@example({"v": [np.array([1, -2]), np.array([3], np.uint8)]})  # signed and unsigned
+@example({"v": [np.array([[1, 2]]), np.array([[1, 2, 3]])]})  # shapes past axis 0 differ
+@example({"v": [np.array([1, 2]), np.array([], int)], "w": [np.zeros((2, 0)), np.ones((1, 0))]})
+@example({"v": [np.array([True]), np.array([[False]])], "w": [np.array([1]), 2]})
 def test_render_report_matches_the_oracle(report):
     assert cli.render_report(report) == _oracles.render_oracle(report, 0) + "\n"
 
